@@ -22,6 +22,7 @@
 use crate::net::{ClusterNet, Flow};
 use crate::Seconds;
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 
 /// Handle to a task admitted to the timeline. Ids are dense and assigned
 /// in admission order, which also fixes the tie-break order when several
@@ -72,59 +73,67 @@ enum Work {
     },
 }
 
-struct TaskState {
-    work: Work,
-    reported: bool,
-}
-
 /// Max scratches parked per thread; repeated pricing is serial per
 /// thread, so a small pool covers nested timelines without hoarding.
 const SCRATCH_POOL_CAP: usize = 4;
 /// Max recycled flow-path buffers kept inside one scratch.
 const PATH_POOL_CAP: usize = 512;
+/// Max distinct active flow sets whose max-min rates one run memoizes.
+/// A priced epoch cycles through a few dozen; a run that overflows the
+/// cap starts its memo over.
+const RATE_MEMO_CAP: usize = 1024;
 
 /// Reusable buffers for one timeline run: the task/event queue, the live
-/// set, per-link carried bytes, the `step()` workspace, and a free-list
-/// of flow-path buffers. Parked in a thread-local pool between runs so
-/// repeated pricing (the autotuner's bread and butter) stops paying
-/// allocation churn per call.
+/// set, per-link carried bytes, the `step()` workspace, a free-list of
+/// flow-path buffers and the max-min rate memo. Parked in a thread-local
+/// pool between runs so repeated pricing (the autotuner's bread and
+/// butter) stops paying allocation churn per call.
 #[derive(Default)]
 struct TimelineScratch {
-    tasks: Vec<TaskState>,
+    tasks: Vec<Work>,
     live: Vec<usize>,
     carried: Vec<f64>,
-    /// `step()` workspace: active-flow paths. Outer and inner capacity
-    /// both persist across steps and runs.
-    paths: Vec<Vec<usize>>,
     /// `step()` workspace: (task, flow) of each active path.
     locate: Vec<(usize, usize)>,
-    /// `step()` workspace: active indices for the max-min solver.
-    active: Vec<usize>,
-    /// Recycled `FlowState` path buffers, harvested when a run ends.
+    /// `step()` workspace: the ordered active path list, flattened as
+    /// `len, links..` per flow — the rate memo's key.
+    key: Vec<usize>,
+    /// Max-min rates per ordered active path list. The order is part of
+    /// the key because it fixes the solver's float operations, so a hit
+    /// returns exactly the bits a fresh solve would. Link capacities are
+    /// fixed within a run but not across `ClusterNet`s, so `reset()`
+    /// clears it.
+    rate_memo: HashMap<Vec<usize>, Vec<f64>>,
+    /// Recycled `FlowState` path buffers, harvested as batches are
+    /// reported.
     path_pool: Vec<Vec<usize>>,
 }
 
+/// Parks a finished batch's path buffers on the free-list (up to its cap).
+fn recycle_paths(pool: &mut Vec<Vec<usize>>, flows: Vec<FlowState>) {
+    for mut f in flows {
+        if pool.len() == PATH_POOL_CAP {
+            break;
+        }
+        f.path.clear();
+        pool.push(f.path);
+    }
+}
+
 impl TimelineScratch {
-    /// Clears run state, harvesting flow-path buffers into the pool.
-    /// Capacity is what the free-list exists to keep.
+    /// Clears run state, harvesting the path buffers of batches never
+    /// reported. Capacity is what the free-list exists to keep.
     fn reset(&mut self) {
-        for t in self.tasks.drain(..) {
-            if let Work::Batch { flows, .. } = t.work {
-                for mut f in flows {
-                    if self.path_pool.len() < PATH_POOL_CAP {
-                        f.path.clear();
-                        self.path_pool.push(f.path);
-                    }
-                }
+        for w in self.tasks.drain(..) {
+            if let Work::Batch { flows, .. } = w {
+                recycle_paths(&mut self.path_pool, flows);
             }
         }
         self.live.clear();
         self.carried.clear();
         self.locate.clear();
-        self.active.clear();
-        for p in &mut self.paths {
-            p.clear();
-        }
+        self.key.clear();
+        self.rate_memo.clear();
     }
 }
 
@@ -132,13 +141,19 @@ thread_local! {
     static SCRATCH_POOL: RefCell<Vec<TimelineScratch>> = const { RefCell::new(Vec::new()) };
     static SCRATCH_ACQUIRES: Cell<u64> = const { Cell::new(0) };
     static SCRATCH_MISSES: Cell<u64> = const { Cell::new(0) };
+    static RATE_SOLVES: Cell<u64> = const { Cell::new(0) };
+    static RATE_HITS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    counter.with(|c| c.set(c.get() + 1));
 }
 
 fn acquire_scratch() -> TimelineScratch {
-    SCRATCH_ACQUIRES.with(|c| c.set(c.get() + 1));
+    bump(&SCRATCH_ACQUIRES);
     let parked = SCRATCH_POOL.with(|p| p.borrow_mut().pop());
     parked.unwrap_or_else(|| {
-        SCRATCH_MISSES.with(|c| c.set(c.get() + 1));
+        bump(&SCRATCH_MISSES);
         TimelineScratch::default()
     })
 }
@@ -153,9 +168,9 @@ fn release_scratch(mut scratch: TimelineScratch) {
     });
 }
 
-/// Counters over the calling thread's scratch free-list (the pool is
-/// thread-local, so the counters are too — measurements can't be
-/// polluted by other threads pricing concurrently).
+/// Counters over the calling thread's scratch free-list and rate memo
+/// (both are thread-local, so the counters are too — measurements can't
+/// be polluted by other threads pricing concurrently).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScratchStats {
     /// Scratch acquisitions — one per [`FluidTimeline::new`].
@@ -163,27 +178,35 @@ pub struct ScratchStats {
     /// Acquisitions that allocated fresh because the pool was empty.
     /// `acquires > misses` witnesses buffer reuse across runs.
     pub misses: u64,
+    /// Steps that ran the max-min solver: the first time a run saw its
+    /// active flow set.
+    pub rate_solves: u64,
+    /// Steps that reused memoized max-min rates for an active flow set
+    /// the run had already solved.
+    pub rate_hits: u64,
 }
 
-/// Snapshot of this thread's scratch free-list counters
-/// (see [`ScratchStats`]).
+/// Snapshot of this thread's scratch counters (see [`ScratchStats`]).
 pub fn scratch_stats() -> ScratchStats {
     ScratchStats {
         acquires: SCRATCH_ACQUIRES.with(|c| c.get()),
         misses: SCRATCH_MISSES.with(|c| c.get()),
+        rate_solves: RATE_SOLVES.with(|c| c.get()),
+        rate_hits: RATE_HITS.with(|c| c.get()),
     }
 }
 
-/// Zeroes this thread's scratch free-list counters (the parked buffers
-/// stay, so a post-reset acquisition still hits the pool).
+/// Zeroes this thread's scratch counters (the parked buffers stay, so a
+/// post-reset acquisition still hits the pool).
 pub fn reset_scratch_stats() {
-    SCRATCH_ACQUIRES.with(|c| c.set(0));
-    SCRATCH_MISSES.with(|c| c.set(0));
+    for counter in [&SCRATCH_ACQUIRES, &SCRATCH_MISSES, &RATE_SOLVES, &RATE_HITS] {
+        counter.with(|c| c.set(0));
+    }
 }
 
-impl TaskState {
+impl Work {
     fn is_complete(&self) -> bool {
-        match &self.work {
+        match self {
             Work::Span { remaining } => *remaining <= TIME_EPS,
             Work::Batch {
                 latency_left,
@@ -195,6 +218,12 @@ impl TaskState {
 
 /// The event-driven timeline simulator (see the module docs for the
 /// driver contract).
+///
+/// Host cost tracks the *live* tasks, not every task admitted: a batch's
+/// flow state goes back to the free-list as soon as its completion is
+/// reported, and max-min rates are solved once per distinct ordered
+/// active flow set and memoized for the rest of the run (a priced epoch
+/// admits ~10⁵ batches but revisits a few dozen active sets).
 pub struct FluidTimeline<'n> {
     net: &'n ClusterNet,
     now: Seconds,
@@ -202,8 +231,8 @@ pub struct FluidTimeline<'n> {
     /// unreported-task live set (kept in admission order, so each event
     /// is O(live) instead of O(all admitted) — an epoch can admit ~10⁵
     /// tasks but only ~10² are ever live at once), per-link carried
-    /// bytes, and the `step()` workspace. Acquired from a thread-local
-    /// free-list and parked again on drop.
+    /// bytes, the `step()` workspace and the rate memo. Acquired from a
+    /// thread-local free-list and parked again on drop.
     scratch: TimelineScratch,
 }
 
@@ -286,10 +315,7 @@ impl<'n> FluidTimeline<'n> {
     fn push(&mut self, work: Work) -> TaskId {
         let id = TaskId(self.scratch.tasks.len());
         self.scratch.live.push(id.0);
-        self.scratch.tasks.push(TaskState {
-            work,
-            reported: false,
-        });
+        self.scratch.tasks.push(work);
         id
     }
 
@@ -309,15 +335,21 @@ impl<'n> FluidTimeline<'n> {
     }
 
     /// Reports one complete-but-unreported task, lowest id first (`live`
-    /// is kept in admission order, so a linear scan finds it).
+    /// is kept in admission order, so a linear scan finds it). A reported
+    /// batch's flow state is never read again, so its path buffers go
+    /// straight back to the free-list.
     fn harvest(&mut self) -> Option<Completion> {
-        let pos = self
-            .scratch
-            .live
-            .iter()
-            .position(|&i| self.scratch.tasks[i].is_complete())?;
-        let i = self.scratch.live.remove(pos);
-        self.scratch.tasks[i].reported = true;
+        let TimelineScratch {
+            tasks,
+            live,
+            path_pool,
+            ..
+        } = &mut self.scratch;
+        let pos = live.iter().position(|&i| tasks[i].is_complete())?;
+        let i = live.remove(pos);
+        if let Work::Batch { flows, .. } = &mut tasks[i] {
+            recycle_paths(path_pool, std::mem::take(flows));
+        }
         Some(Completion {
             id: TaskId(i),
             at: self.now,
@@ -328,23 +360,21 @@ impl<'n> FluidTimeline<'n> {
     /// latency expiry, or flow drain). Returns `false` if nothing is live.
     fn step(&mut self) -> bool {
         // Gather the active flow set (batches past their setup latency)
-        // into the persistent workspace: inner path buffers keep their
-        // capacity across steps, so a warm step allocates nothing.
+        // as the rate memo's key: every path, in live order.
         let TimelineScratch {
             tasks,
             live,
             carried,
-            paths,
             locate,
-            active,
+            key,
+            rate_memo,
             ..
         } = &mut self.scratch;
         locate.clear();
-        let mut used = 0usize;
+        key.clear();
         let mut dt = f64::INFINITY;
         for &ti in live.iter() {
-            let t = &tasks[ti];
-            match &t.work {
+            match &tasks[ti] {
                 Work::Span { remaining } => dt = dt.min(*remaining),
                 Work::Batch {
                     latency_left,
@@ -355,12 +385,8 @@ impl<'n> FluidTimeline<'n> {
                     } else {
                         for (fi, f) in flows.iter().enumerate() {
                             if f.remaining > DRAIN_EPS {
-                                if used == paths.len() {
-                                    paths.push(Vec::with_capacity(f.path.len()));
-                                }
-                                paths[used].clear();
-                                paths[used].extend_from_slice(&f.path);
-                                used += 1;
+                                key.push(f.path.len());
+                                key.extend_from_slice(&f.path);
                                 locate.push((ti, fi));
                             }
                         }
@@ -368,17 +394,32 @@ impl<'n> FluidTimeline<'n> {
                 }
             }
         }
-        active.clear();
-        active.extend(0..used);
-        let rates = if active.is_empty() {
-            Vec::new()
+        let rates: &[f64] = if locate.is_empty() {
+            &[]
+        } else if let Some(hit) = rate_memo.get(key.as_slice()) {
+            bump(&RATE_HITS);
+            hit
         } else {
-            self.net.max_min_rates(active, &paths[..used])
+            // A new active set: solve it once for the rest of the run.
+            bump(&RATE_SOLVES);
+            let paths: Vec<Vec<usize>> = locate
+                .iter()
+                .map(|&(ti, fi)| match &tasks[ti] {
+                    Work::Batch { flows, .. } => flows[fi].path.clone(),
+                    Work::Span { .. } => unreachable!("only batches carry flows"),
+                })
+                .collect();
+            let active: Vec<usize> = (0..paths.len()).collect();
+            let solved = self.net.max_min_rates(&active, &paths);
+            if rate_memo.len() == RATE_MEMO_CAP {
+                rate_memo.clear();
+            }
+            rate_memo.entry(key.clone()).or_insert(solved)
         };
-        for ((ti, fi), &r) in locate.iter().zip(&rates) {
+        for (&(ti, fi), &r) in locate.iter().zip(rates) {
             debug_assert!(r > 0.0, "max-min must give every flow a rate");
-            if let Work::Batch { flows, .. } = &tasks[*ti].work {
-                dt = dt.min(flows[*fi].remaining / r);
+            if let Work::Batch { flows, .. } = &tasks[ti] {
+                dt = dt.min(flows[fi].remaining / r);
             }
         }
         if !dt.is_finite() {
@@ -387,7 +428,7 @@ impl<'n> FluidTimeline<'n> {
         // Integrate forward by dt.
         self.now += dt;
         for &ti in live.iter() {
-            match &mut tasks[ti].work {
+            match &mut tasks[ti] {
                 Work::Span { remaining } => *remaining -= dt,
                 Work::Batch { latency_left, .. } => {
                     if *latency_left > TIME_EPS {
@@ -396,11 +437,11 @@ impl<'n> FluidTimeline<'n> {
                 }
             }
         }
-        for ((ti, fi), &r) in locate.iter().zip(&rates) {
-            if let Work::Batch { flows, .. } = &mut tasks[*ti].work {
+        for (&(ti, fi), &r) in locate.iter().zip(rates) {
+            if let Work::Batch { flows, .. } = &mut tasks[ti] {
                 let moved = r * dt;
-                flows[*fi].remaining -= moved;
-                for &l in &flows[*fi].path {
+                flows[fi].remaining -= moved;
+                for &l in &flows[fi].path {
                     carried[l] += moved;
                 }
             }
@@ -597,5 +638,291 @@ mod tests {
         assert_eq!(stats.acquires, 1);
         assert_eq!(stats.misses, 0, "warm run must reuse the parked scratch");
         assert_eq!(cold, warm, "reuse must not change results");
+    }
+
+    /// The step logic before the rate memo and flow freeing, kept as the
+    /// reference: max-min is re-solved on every step and flow state lives
+    /// until the run ends.
+    struct Reference<'n> {
+        net: &'n ClusterNet,
+        now: Seconds,
+        tasks: Vec<Work>,
+        live: Vec<usize>,
+        carried: Vec<f64>,
+    }
+
+    impl<'n> Reference<'n> {
+        fn new(net: &'n ClusterNet) -> Self {
+            Reference {
+                net,
+                now: 0.0,
+                tasks: Vec::new(),
+                live: Vec::new(),
+                carried: vec![0.0; net.num_links()],
+            }
+        }
+
+        fn push(&mut self, work: Work) {
+            self.live.push(self.tasks.len());
+            self.tasks.push(work);
+        }
+
+        fn advance(&mut self) -> Option<Completion> {
+            loop {
+                if let Some(pos) = self.live.iter().position(|&i| self.tasks[i].is_complete()) {
+                    let i = self.live.remove(pos);
+                    return Some(Completion {
+                        id: TaskId(i),
+                        at: self.now,
+                    });
+                }
+                if !self.step() {
+                    return None;
+                }
+            }
+        }
+
+        fn step(&mut self) -> bool {
+            let mut paths = Vec::new();
+            let mut locate = Vec::new();
+            let mut dt = f64::INFINITY;
+            for &ti in &self.live {
+                match &self.tasks[ti] {
+                    Work::Span { remaining } => dt = dt.min(*remaining),
+                    Work::Batch {
+                        latency_left,
+                        flows,
+                    } => {
+                        if *latency_left > TIME_EPS {
+                            dt = dt.min(*latency_left);
+                        } else {
+                            for (fi, f) in flows.iter().enumerate() {
+                                if f.remaining > DRAIN_EPS {
+                                    paths.push(f.path.clone());
+                                    locate.push((ti, fi));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let active: Vec<usize> = (0..paths.len()).collect();
+            let rates = if active.is_empty() {
+                Vec::new()
+            } else {
+                self.net.max_min_rates(&active, &paths)
+            };
+            for (&(ti, fi), &r) in locate.iter().zip(&rates) {
+                if let Work::Batch { flows, .. } = &self.tasks[ti] {
+                    dt = dt.min(flows[fi].remaining / r);
+                }
+            }
+            if !dt.is_finite() {
+                return false;
+            }
+            self.now += dt;
+            for &ti in &self.live {
+                match &mut self.tasks[ti] {
+                    Work::Span { remaining } => *remaining -= dt,
+                    Work::Batch { latency_left, .. } => {
+                        if *latency_left > TIME_EPS {
+                            *latency_left -= dt;
+                        }
+                    }
+                }
+            }
+            for (&(ti, fi), &r) in locate.iter().zip(&rates) {
+                if let Work::Batch { flows, .. } = &mut self.tasks[ti] {
+                    let moved = r * dt;
+                    flows[fi].remaining -= moved;
+                    for &l in &flows[fi].path {
+                        self.carried[l] += moved;
+                    }
+                }
+            }
+            true
+        }
+    }
+
+    /// One scripted admission.
+    #[derive(Clone)]
+    enum Task {
+        Span(Seconds),
+        Batch(Vec<Flow>, Seconds),
+    }
+
+    /// The two simulators under one driver.
+    trait Sim {
+        fn admit(&mut self, task: &Task);
+        fn next(&mut self) -> Option<Completion>;
+        fn carried(&self) -> Vec<f64>;
+    }
+
+    impl Sim for FluidTimeline<'_> {
+        fn admit(&mut self, task: &Task) {
+            match task {
+                Task::Span(d) => self.start_span(*d),
+                Task::Batch(flows, latency) => self.start_flows(flows, *latency),
+            };
+        }
+        fn next(&mut self) -> Option<Completion> {
+            self.advance()
+        }
+        fn carried(&self) -> Vec<f64> {
+            self.scratch.carried.clone()
+        }
+    }
+
+    impl Sim for Reference<'_> {
+        fn admit(&mut self, task: &Task) {
+            match task {
+                Task::Span(d) => self.push(Work::Span { remaining: *d }),
+                Task::Batch(flows, latency) => {
+                    let flows = flows
+                        .iter()
+                        .filter(|f| f.bytes > 0.0 && f.src != f.dst)
+                        .map(|f| FlowState {
+                            path: self.net.path(f),
+                            remaining: f.bytes,
+                        })
+                        .collect();
+                    self.push(Work::Batch {
+                        latency_left: *latency,
+                        flows,
+                    });
+                }
+            }
+        }
+        fn next(&mut self) -> Option<Completion> {
+            self.advance()
+        }
+        fn carried(&self) -> Vec<f64> {
+            self.carried.clone()
+        }
+    }
+
+    /// A ring-style collective step: each member sends to the next.
+    fn ring(socs: usize, start: usize, len: usize, stride: usize, bytes: f64) -> Vec<Flow> {
+        let member = |k: usize| SocId((start + k * stride) % socs);
+        (0..len)
+            .map(|k| Flow::new(member(k), member((k + 1) % len), bytes))
+            .collect()
+    }
+
+    /// Decodes one drawn word into the admissions made after a
+    /// completion: a span, a ring batch, a repeat of the previous batch,
+    /// or a batch plus a span.
+    fn decode(word: u64, socs: usize, last: &mut Option<Task>) -> Vec<Task> {
+        let span = Task::Span(((word >> 2) % 400) as f64 * 1e-3);
+        let batch = Task::Batch(
+            ring(
+                socs,
+                (word >> 11) as usize % socs,
+                2 + (word >> 19) as usize % 7,
+                1 + (word >> 27) as usize % 6,
+                1e4 * (1 + (word >> 33) % 2000) as f64,
+            ),
+            if (word >> 45) & 1 == 0 { 0.0 } else { 0.009 },
+        );
+        match word % 4 {
+            0 => vec![span],
+            1 => {
+                *last = Some(batch.clone());
+                vec![batch]
+            }
+            2 => vec![last.clone().unwrap_or(span)],
+            _ => {
+                *last = Some(batch.clone());
+                vec![batch, span]
+            }
+        }
+    }
+
+    /// Replays a script event-reactively: the first admissions at clock
+    /// zero, one more set after each completion.
+    fn replay(sim: &mut dyn Sim, script: &[Vec<Task>]) -> Vec<(TaskId, u64)> {
+        let mut admissions = script.iter();
+        for t in admissions.next().into_iter().flatten() {
+            sim.admit(t);
+        }
+        let mut out = Vec::new();
+        loop {
+            let c = sim.next();
+            if let Some(c) = c {
+                out.push((c.id, c.at.to_bits()));
+            }
+            match admissions.next() {
+                Some(tasks) => tasks.iter().for_each(|t| sim.admit(t)),
+                None if c.is_none() => return out,
+                None => {}
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Memoized rates and freed flow state change nothing: every
+        /// completion and every link's carried bytes match the
+        /// solve-every-step reference bit for bit.
+        #[test]
+        fn memoized_steps_match_the_solve_every_step_reference(
+            boards in 1usize..13,
+            loaded in 0u8..2,
+            words in proptest::collection::vec(0u64..u64::MAX, 1..48),
+        ) {
+            let mut spec = ClusterSpec::paper_server();
+            spec.boards = boards;
+            let n = ClusterNet::new(spec).with_background_load(if loaded == 1 { 0.3 } else { 0.0 });
+            let socs = spec.total_socs();
+            let mut last = None;
+            let script: Vec<Vec<Task>> =
+                words.iter().map(|&w| decode(w, socs, &mut last)).collect();
+            let mut reference = Reference::new(&n);
+            let expected = replay(&mut reference, &script);
+            let mut tl = FluidTimeline::new(&n);
+            let got = replay(&mut tl, &script);
+            proptest::prop_assert_eq!(got, expected);
+            let bits = |c: Vec<f64>| c.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(tl.carried()), bits(reference.carried()));
+        }
+    }
+
+    #[test]
+    fn repeated_ring_steps_solve_max_min_once() {
+        // one SoC per board: every flow crosses the board NICs and gets
+        // the same share, so each step has exactly one active flow set
+        let n = net();
+        let members: Vec<usize> = (0..12).map(|b| 5 * b).collect();
+        let flows: Vec<Flow> = (0..12)
+            .map(|k| Flow::new(SocId(members[k]), SocId(members[(k + 1) % 12]), 2.0 * MB))
+            .collect();
+        let mut tl = FluidTimeline::new(&n);
+        reset_scratch_stats();
+        for _ in 0..200 {
+            tl.start_flows(&flows, 0.009);
+            tl.advance().unwrap();
+        }
+        assert!(tl.advance().is_none());
+        let stats = scratch_stats();
+        assert_eq!(stats.rate_solves, 1, "{stats:?}");
+        assert_eq!(stats.rate_hits, 199, "{stats:?}");
+    }
+
+    #[test]
+    fn rate_memo_does_not_leak_across_networks() {
+        // same flow set, halved capacity: the parked scratch must not
+        // hand the unloaded network's rates to the loaded one
+        let idle = net();
+        let loaded = net().with_background_load(0.5);
+        let run = |n: &ClusterNet| {
+            let mut tl = FluidTimeline::new(n);
+            tl.start_flows(&[Flow::new(SocId(0), SocId(1), 125.0 * MB)], 0.0);
+            tl.advance().unwrap().at
+        };
+        let fast = run(&idle);
+        let slow = run(&loaded);
+        assert!((fast - 1.0).abs() < 1e-9, "{fast}");
+        assert!((slow - 2.0).abs() < 1e-9, "{slow}");
     }
 }

@@ -543,6 +543,49 @@ mod tests {
     }
 
     #[test]
+    fn simulated_prices_are_pinned_bit_for_bit() {
+        // Golden bits from the solve-every-step timeline: host-side
+        // speedups (rate memo, freed flow state) must not move a bit.
+        let lay = layout();
+        for (socs, groups, schedule, bucket_kb, bits) in [
+            (
+                20,
+                1,
+                SyncSchedule::WaitFree,
+                Some(512),
+                0x4086_5162_6394_dc90u64,
+            ),
+            (
+                20,
+                2,
+                SyncSchedule::Interleaved,
+                None,
+                0x4069_2f5c_95c1_3900,
+            ),
+            (
+                60,
+                58,
+                SyncSchedule::WaitFree,
+                Some(2048),
+                0x4018_e889_b354_e59d,
+            ),
+        ] {
+            let cand = PlanCandidate {
+                groups,
+                schedule,
+                bucket_kb,
+                profiled_beta: None,
+            };
+            let priced = price_plan_uncached(&spec(socs), &lay, &cand);
+            assert_eq!(
+                priced.to_bits(),
+                bits,
+                "{cand:?} on {socs} SoCs priced {priced}"
+            );
+        }
+    }
+
+    #[test]
     fn profiled_beta_axis_only_for_mixed_jobs() {
         let opts = TuneOptions {
             profiled_beta: Some(0.6),

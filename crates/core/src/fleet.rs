@@ -11,10 +11,10 @@
 //!   inter-arrival times ([`sample_poisson_arrivals`]) over a small job
 //!   mix ([`standard_job_mix`]);
 //! - **admission** reuses the scheduler's per-SoC memory estimate
-//!   ([`GlobalScheduler::check_memory`]) and the [`TidalTrace`] idle
-//!   windows: the `Tidal` policy only places a job on SoCs that stay
-//!   idle through the job's estimated runtime, the naive `Fifo` baseline
-//!   grabs whatever is idle *right now*;
+//!   ([`GlobalScheduler::check_memory`], once per job shape) and the
+//!   [`TidalTrace`] idle windows: the `Tidal` policy only places a job on
+//!   SoCs that stay idle through the job's estimated runtime, the naive
+//!   `Fifo` baseline grabs whatever is idle *right now*;
 //! - **placement** packs jobs onto servers and SoC subsets in priority
 //!   order with elastic capacity sharing: when user load takes some of a
 //!   running job's SoCs back, the job shrinks onto the survivors and its
@@ -373,6 +373,42 @@ struct Placement {
     socs: Vec<usize>,
 }
 
+/// The spec fields the admission memory check reads: model, preset,
+/// SoCs, global batch and method (the group count sets the per-SoC
+/// batch). Seed, learning rate and epochs never change the footprint.
+type MemoryShape = (ModelKind, DatasetPreset, usize, usize, MethodSpec);
+
+/// One run's admission memory gate, checked once per job shape: the
+/// check builds a whole network, and an arrival trace cycles through a
+/// handful of shapes.
+#[derive(Default)]
+struct MemoryGate {
+    checked: Vec<(MemoryShape, bool)>,
+}
+
+impl MemoryGate {
+    /// Whether the job's per-SoC footprint fits the SoC memory budget —
+    /// the scheduler's own (topology-aware) estimate.
+    fn admits(&mut self, spec: &TrainJobSpec) -> bool {
+        let shape = (
+            spec.model,
+            spec.preset,
+            spec.socs,
+            spec.global_batch,
+            spec.method,
+        );
+        if let Some(&(_, fits)) = self.checked.iter().find(|(s, _)| *s == shape) {
+            return fits;
+        }
+        let workload = Workload::standard(spec, 64, 8, 0.5);
+        let fits = GlobalScheduler::new(*spec, workload)
+            .check_memory()
+            .fits_soc();
+        self.checked.push((shape, fits));
+        fits
+    }
+}
+
 /// The fleet simulator: runs a [`FleetSpec`] over an arrival trace.
 pub struct FleetSim {
     spec: FleetSpec,
@@ -425,15 +461,6 @@ impl FleetSim {
         TimeModel::new(&req.spec).restore_stall_time()
     }
 
-    /// Whether the job's per-SoC footprint fits the SoC memory budget —
-    /// the scheduler's own (topology-aware) estimate.
-    fn fits_memory(req: &JobRequest) -> bool {
-        let workload = Workload::standard(&req.spec, 64, 8, 0.5);
-        GlobalScheduler::new(req.spec, workload)
-            .check_memory()
-            .fits_soc()
-    }
-
     /// Runs the simulation to the horizon and reports.
     pub fn run(&self) -> FleetReport {
         let traces: Vec<TidalTrace> = (0..self.spec.servers)
@@ -457,6 +484,7 @@ impl FleetSim {
                 preemptions: 0,
             })
             .collect();
+        let mut memory_gate = MemoryGate::default();
         let mut queue: VecDeque<usize> = VecDeque::new();
         let mut gross_soc_hours = 0.0;
         let mut waste_soc_hours = 0.0;
@@ -478,7 +506,7 @@ impl FleetSim {
                         socs: req.spec.socs,
                         epochs: req.spec.epochs,
                     });
-                    if Self::fits_memory(req) {
+                    if memory_gate.admits(&req.spec) {
                         queue.push_back(id);
                     } else {
                         states[id].rejected = true;
@@ -771,6 +799,50 @@ mod tests {
             tidal.utilization,
             fifo.utilization
         );
+    }
+
+    #[test]
+    fn memory_gate_checks_each_job_shape_once() {
+        let mix = standard_job_mix(2, 3600.0, 7);
+        let fits = mix[0].spec;
+        let mut twin = fits;
+        twin.seed += 1000;
+        twin.epochs += 5;
+        twin.lr *= 0.5;
+        // one SoC per group carries the whole batch: far past the budget
+        let mut huge = fits;
+        huge.method = MethodSpec::SocFlow(SocFlowConfig::with_groups(huge.socs));
+        huge.global_batch = 4_000_000;
+
+        let mut gate = MemoryGate::default();
+        assert!(gate.admits(&fits));
+        assert!(gate.admits(&twin));
+        assert_eq!(gate.checked.len(), 1, "seed, epochs and LR share a check");
+        assert!(!gate.admits(&huge));
+        assert!(!gate.admits(&huge));
+        assert_eq!(gate.checked.len(), 2);
+
+        // in a run, every arrival of the oversized shape is rejected
+        let jobs: Vec<JobRequest> = [fits, twin, huge, huge]
+            .into_iter()
+            .enumerate()
+            .map(|(id, mut spec)| {
+                spec.seed += id as u64;
+                JobRequest {
+                    id,
+                    arrival: id as f64 * 600.0,
+                    priority: 1,
+                    spec,
+                }
+            })
+            .collect();
+        let report = FleetSim::new(fleet(FleetPolicy::Tidal).spec, jobs).run();
+        let admitted: Vec<bool> = report
+            .jobs
+            .iter()
+            .map(|j| j.first_admit_s.is_some())
+            .collect();
+        assert_eq!(admitted, [true, true, false, false], "{report:?}");
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! families and reports tuned-vs-default predicted epoch seconds.
 //!
 //! Runs the tensor micro-kernels the training hot path lives in (tiled
-//! GEMM variants, transpose, the pooled conv2d forward/backward, the fused
-//! fake-quantize pass) on fixed shapes with deterministic inputs, and
+//! GEMM variants, the i8 GEMM, transpose, the pooled conv2d
+//! forward/backward, the fused fake-quantize pass and the f32 → i8
+//! quantizer) on fixed shapes with deterministic inputs, and
 //! reports minimum wall time per iteration plus achieved GFLOP/s. With
 //! `--json <path>` the numbers are also written as a machine-readable
 //! baseline file (`BENCH_kernels.json` in the repo root records one
@@ -238,6 +239,20 @@ fn run_suite(fast: bool) -> Vec<Measurement> {
     });
     out.push(Measurement {
         op: "fake_quant_int8",
+        shape: "65536".into(),
+        iters,
+        ns_per_iter: ns,
+        flops: (256 * 256) as f64,
+    });
+
+    // --- f32 → i8 quantization (the INT8 forward's operand staging) -----
+    let q_params = QuantParams::from_tensor(&q_in);
+    let mut q_i8 = Vec::new();
+    let ns = time_min(iters, warmup, || {
+        quant::quantize_into(&q_in, q_params, &mut q_i8);
+    });
+    out.push(Measurement {
+        op: "quantize_i8",
         shape: "65536".into(),
         iters,
         ns_per_iter: ns,
@@ -1310,7 +1325,9 @@ fn run_autotune_suite(fast: bool) -> (usize, Vec<AutotuneRun>) {
     // to a multi-CG topology; the fast smoke uses a 20-SoC slice, where
     // 7 groups is the multi-CG count (as in the timeline suite's sweep)
     let (socs, default_groups) = if fast { (20, 7) } else { (60, 8) };
-    // the β that bench kernels measured on the reference machine
+    // a pinned profiled β: what `bench kernels` measured on the reference
+    // machine before the i8 GEMM was register-blocked (it now measures
+    // above 0.5); kept fixed so the committed baseline stays comparable
     let arms: &[(&str, ModelKind, &str, f32, Option<f64>)] = &[
         ("vgg11", ModelKind::Vgg11, "vgg11", 0.22, None),
         ("resnet18", ModelKind::ResNet18, "resnet18", 0.18, None),

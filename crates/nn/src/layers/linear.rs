@@ -49,8 +49,9 @@ impl Linear {
     /// Integer forward: quantize the activations and the transposed weight
     /// to symmetric INT8, run the `i8×i8→i32` GEMM and apply both scales
     /// once at the i32→f32 epilogue (the bias stays f32). In train mode the
-    /// cached input is the *dequantized* activations — bitwise-identical to
-    /// the fake-quant cache — so [`Layer::backward`] is shared unchanged.
+    /// cached input is the *dequantized* activations — equal to the
+    /// fake-quant cache, up to the sign of zero — so [`Layer::backward`] is
+    /// shared unchanged.
     fn forward_int8(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (m, k) = input.shape().as_matrix();
         assert_eq!(k, self.in_features, "Linear input width mismatch");
@@ -252,7 +253,8 @@ mod tests {
     /// The INT8 forward must be the integer kernel, not fake-quant f32: a
     /// widened-i32 reference with one scale at the end reproduces the
     /// output bit for bit, and the train cache equals the dequantized
-    /// activations (= fake-quant of the input, bitwise).
+    /// activations (= fake-quant of the input in value; fake-quant keeps a
+    /// −0.0 where the i8 round trip gives +0.0).
     #[test]
     fn int8_forward_matches_widened_reference_exactly() {
         let mut rng = StdRng::seed_from_u64(4);

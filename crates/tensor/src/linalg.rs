@@ -15,6 +15,12 @@
 //! computed together, never the floating-point summation order, so results
 //! are bit-identical to the pre-tiled kernels and deterministic across runs.
 //!
+//! **SIMD:** the `simd` cargo feature covers only the f32 accumulate steps
+//! (explicit SSE2/NEON lanes instead of autovectorized loops). The integer
+//! GEMM packs i16 pairs and always runs an SSE2 `_mm_madd_epi16` step on
+//! x86_64 — SSE2 is part of that target's baseline — and a portable scalar
+//! step elsewhere; its i32 sums are exact, so every path agrees bit for bit.
+//!
 //! **Parallelism:** large products are split into fixed-size row panels of
 //! the output (`ROWS_PER_CHUNK` rows each) and dispatched on the
 //! [`crate::runtime`] worker pool. The panel decomposition depends only on
@@ -88,7 +94,7 @@ fn worth_parallel(m: usize, k: usize, n: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-kernel accumulate steps: scalar reference + optional SIMD lanes
+// f32 micro-kernel accumulate steps: scalar reference + optional SIMD lanes
 // ---------------------------------------------------------------------------
 //
 // The `simd` cargo feature swaps the micro-kernels' innermost accumulate
@@ -98,8 +104,9 @@ fn worth_parallel(m: usize, k: usize, n: usize) -> bool {
 // keep each accumulator lane's additions in the same ascending-`p` order as
 // the scalar loop, so every output element sees the identical sequence of
 // f32 roundings: scalar and SIMD builds are bitwise-identical
-// (property-pinned in `tests/properties.rs`). The integer dot product is
-// exact in i32, where ordering cannot matter at all.
+// (property-pinned in `tests/properties.rs`). The feature covers only these
+// f32 lanes: the integer GEMM further down always takes its SSE2 step on
+// x86_64.
 
 /// Scalar reference for the f32 accumulate step: `acc[c] += av * brow[c]`
 /// over the `NR` lanes. Kept compiled in every configuration — the SIMD
@@ -164,94 +171,6 @@ fn axpy_nr(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
 #[inline(always)]
 fn axpy_nr(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
     axpy_nr_scalar(acc, av, brow);
-}
-
-/// Scalar reference for the integer dot product: widen to i32, accumulate
-/// exactly. `a.len() == b.len()` must hold; the sum must stay within `i32`
-/// (callers bound `k ≤ 2^17`, far below any layer in the model zoo).
-#[cfg_attr(
-    all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(dead_code)
-)]
-#[inline(always)]
-fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
-    let mut acc = 0i32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        acc += x as i32 * y as i32;
-    }
-    acc
-}
-
-/// SSE2 i8 dot product: sign-extend 16 bytes to i16 lanes, then
-/// `_mm_madd_epi16` multiplies i16 pairs and sums them into i32 — exact,
-/// since `|i8·i8| ≤ 127² = 16129` fits an i16 product pair summed into i32.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    // Safety: SSE2 baseline; unaligned loads; tail handled in scalar.
-    unsafe {
-        use std::arch::x86_64::*;
-        let k = a.len();
-        let zero = _mm_setzero_si128();
-        let mut acc = _mm_setzero_si128();
-        let mut p = 0;
-        while p + 16 <= k {
-            let va = _mm_loadu_si128(a.as_ptr().add(p) as *const __m128i);
-            let vb = _mm_loadu_si128(b.as_ptr().add(p) as *const __m128i);
-            // Sign-extend each byte half to i16: unpack into the high byte
-            // of each i16 lane, then arithmetic-shift back down.
-            let a_lo = _mm_srai_epi16(_mm_unpacklo_epi8(zero, va), 8);
-            let a_hi = _mm_srai_epi16(_mm_unpackhi_epi8(zero, va), 8);
-            let b_lo = _mm_srai_epi16(_mm_unpacklo_epi8(zero, vb), 8);
-            let b_hi = _mm_srai_epi16(_mm_unpackhi_epi8(zero, vb), 8);
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(a_lo, b_lo));
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(a_hi, b_hi));
-            p += 16;
-        }
-        let mut lanes = [0i32; 4];
-        _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, acc);
-        let mut sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-        while p < k {
-            sum += a[p] as i32 * b[p] as i32;
-            p += 1;
-        }
-        sum
-    }
-}
-
-/// NEON i8 dot product: `vmull_s8` widens 8 products to i16 (exact), then
-/// `vpadalq_s16` folds pairs into i32 accumulators.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-#[inline(always)]
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    // Safety: NEON baseline; tail handled in scalar.
-    unsafe {
-        use std::arch::aarch64::*;
-        let k = a.len();
-        let mut acc = vdupq_n_s32(0);
-        let mut p = 0;
-        while p + 8 <= k {
-            let va = vld1_s8(a.as_ptr().add(p));
-            let vb = vld1_s8(b.as_ptr().add(p));
-            acc = vpadalq_s16(acc, vmull_s8(va, vb));
-            p += 8;
-        }
-        let mut sum = vaddvq_s32(acc);
-        while p < k {
-            sum += a[p] as i32 * b[p] as i32;
-            p += 1;
-        }
-        sum
-    }
-}
-
-/// Without the `simd` feature the integer dot *is* the scalar reference.
-#[cfg(not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-#[inline(always)]
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_scalar(a, b)
 }
 
 // ---------------------------------------------------------------------------
@@ -584,20 +503,193 @@ fn matmul_a_bt_panel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
 // ---------------------------------------------------------------------------
 // Integer GEMM: C(i32) = A(i8) × B(i8)ᵀ
 // ---------------------------------------------------------------------------
+//
+// Both operands are packed as sign-extended i16 *pairs* along `k`: a packed
+// block of `w` rows stores, for each pair index `q`, the `w` rows' values at
+// `p = 2q` and `2q + 1` side by side. One SSE2 `_mm_madd_epi16` then
+// multiplies a broadcast A pair against four B column pairs and sums each
+// pair into an i32 lane — two multiply-adds per lane per step. `k` is
+// zero-padded to even and both row counts to whole blocks, so the tile has
+// no scalar tail; the padding adds exact zeros, which cannot change an
+// integer sum. On x86_64 the packing itself runs four rows at a time
+// through an SSE2 sign-extend and 4×4 transpose, since at batch-sized `m`
+// packing B costs more than the multiply.
+
+/// Rows of the integer accumulator tile.
+const MR_I8: usize = 4;
+/// Columns of the integer accumulator tile (two 4-lane i32 vectors).
+const NR_I8: usize = 8;
+
+thread_local! {
+    /// Packed B panels for [`matmul_i8_a_bt_slices`], built once per call on
+    /// the calling thread and shared read-only by every row panel.
+    static I8_PACK_B: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
+    /// Packed A row blocks, one panel at a time, on the executing thread.
+    static I8_PACK_A: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Packs `rows` row-major length-`k` i8 rows into blocks of `w` rows (`w` a
+/// multiple of 4), each block laid out as `k.div_ceil(2)` steps of `w` i16
+/// pairs. Missing rows and the odd-`k` tail are zero.
+fn pack_i8_pairs(src: &[i8], rows: usize, k: usize, w: usize, dst: &mut Vec<i16>) {
+    debug_assert_eq!(w % 4, 0, "pack width must be a multiple of 4");
+    let steps = k.div_ceil(2);
+    let block = steps * 2 * w;
+    dst.clear();
+    dst.resize(rows.div_ceil(w) * block, 0);
+    let slot = |r: usize| (r / w) * block + (r % w) * 2;
+    let mut r = 0;
+    // Four rows at a time, 8 pairs per pass: a quad never straddles a block.
+    #[cfg(target_arch = "x86_64")]
+    while r + 4 <= rows {
+        let done = pack_quad_sse2(&src[r * k..(r + 4) * k], k, w, &mut dst[slot(r)..]);
+        if 2 * done < k {
+            for i in r..r + 4 {
+                let out = &mut dst[slot(i) + done * 2 * w..];
+                pack_row_pairs(&src[i * k + 2 * done..(i + 1) * k], w, out);
+            }
+        }
+        r += 4;
+    }
+    for i in r..rows {
+        pack_row_pairs(&src[i * k..(i + 1) * k], w, &mut dst[slot(i)..]);
+    }
+}
+
+/// Scalar packing of one row's values: pair `q` goes to `out[q * 2w..]`.
+fn pack_row_pairs(row: &[i8], w: usize, out: &mut [i16]) {
+    for (pair, o) in row.chunks(2).zip(out.chunks_mut(2 * w)) {
+        o[0] = i16::from(pair[0]);
+        if let Some(&v) = pair.get(1) {
+            o[1] = i16::from(v);
+        }
+    }
+}
+
+/// SSE2 packing of four rows, 16 values of `k` per pass: sign-extend each
+/// row's bytes to i16, then a 4×4 transpose of the i32-sized pairs puts
+/// step `q`'s four row pairs side by side. Returns the pairs packed; the
+/// caller packs the rest of each row.
+#[cfg(target_arch = "x86_64")]
+fn pack_quad_sse2(quad: &[i8], k: usize, w: usize, out: &mut [i16]) -> usize {
+    let passes = k / 16;
+    if passes == 0 {
+        return 0;
+    }
+    assert!(quad.len() >= 4 * k && out.len() >= (passes * 8 - 1) * 2 * w + 8);
+    // Safety: SSE2 is baseline on x86_64; loads read 16 bytes at
+    // `i*k + 16*c + 15 < (i+1)*k`, stores write 8 i16 at
+    // `q*2w + 7 ≤ (8*passes - 1)*2w + 7`, both bounded by the assert.
+    unsafe {
+        use std::arch::x86_64::*;
+        for c in 0..passes {
+            let mut lo = [_mm_setzero_si128(); 4];
+            let mut hi = [_mm_setzero_si128(); 4];
+            for i in 0..4 {
+                let v = _mm_loadu_si128(quad.as_ptr().add(i * k + 16 * c) as *const __m128i);
+                lo[i] = _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8);
+                hi[i] = _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8);
+            }
+            for (half, x) in [lo, hi].iter().enumerate() {
+                let t0 = _mm_unpacklo_epi32(x[0], x[1]);
+                let t1 = _mm_unpacklo_epi32(x[2], x[3]);
+                let t2 = _mm_unpackhi_epi32(x[0], x[1]);
+                let t3 = _mm_unpackhi_epi32(x[2], x[3]);
+                let cols = [
+                    _mm_unpacklo_epi64(t0, t1),
+                    _mm_unpackhi_epi64(t0, t1),
+                    _mm_unpacklo_epi64(t2, t3),
+                    _mm_unpackhi_epi64(t2, t3),
+                ];
+                for (j, col) in cols.iter().enumerate() {
+                    let q = 8 * c + 4 * half + j;
+                    _mm_storeu_si128(out.as_mut_ptr().add(q * 2 * w) as *mut __m128i, *col);
+                }
+            }
+        }
+    }
+    passes * 8
+}
+
+/// Scalar reference for the integer tile: the exact `MR_I8 × NR_I8` i32
+/// sums of one packed A block against one packed B panel. Kept compiled on
+/// every target — the SSE2 step is pinned against it.
+#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
+fn i8_tile_scalar(ap: &[i16], bp: &[i16]) -> [[i32; NR_I8]; MR_I8] {
+    let mut acc = [[0i32; NR_I8]; MR_I8];
+    for (a, b) in ap.chunks_exact(2 * MR_I8).zip(bp.chunks_exact(2 * NR_I8)) {
+        for (accrow, ar) in acc.iter_mut().zip(a.chunks_exact(2)) {
+            let (a0, a1) = (i32::from(ar[0]), i32::from(ar[1]));
+            for (c, bc) in accrow.iter_mut().zip(b.chunks_exact(2)) {
+                *c += a0 * i32::from(bc[0]) + a1 * i32::from(bc[1]);
+            }
+        }
+    }
+    acc
+}
+
+/// SSE2 integer tile: per pair step, `MR_I8` broadcast A pairs times two
+/// 4-column B vectors through `_mm_madd_epi16` (exact: each i16 product
+/// pair sums to at most 2·128² in i32) plus `_mm_add_epi32`. SSE2 is part
+/// of the x86_64 baseline ABI, so this runs in every build.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn i8_tile_sse2(ap: &[i16], bp: &[i16]) -> [[i32; NR_I8]; MR_I8] {
+    let steps = ap.len() / (2 * MR_I8);
+    assert!(bp.len() >= steps * 2 * NR_I8, "i8 tile: short B panel");
+    // Safety: SSE2 is baseline on x86_64; every load is unaligned and stays
+    // inside the `steps` packed steps the assert above bounds.
+    unsafe {
+        use std::arch::x86_64::*;
+        let mut acc = [[_mm_setzero_si128(); 2]; MR_I8];
+        let (mut a, mut b) = (ap.as_ptr(), bp.as_ptr());
+        for _ in 0..steps {
+            let b0 = _mm_loadu_si128(b as *const __m128i);
+            let b1 = _mm_loadu_si128(b.add(8) as *const __m128i);
+            for (r, accrow) in acc.iter_mut().enumerate() {
+                let pair = _mm_set1_epi32((a.add(2 * r) as *const i32).read_unaligned());
+                accrow[0] = _mm_add_epi32(accrow[0], _mm_madd_epi16(pair, b0));
+                accrow[1] = _mm_add_epi32(accrow[1], _mm_madd_epi16(pair, b1));
+            }
+            a = a.add(2 * MR_I8);
+            b = b.add(2 * NR_I8);
+        }
+        let mut out = [[0i32; NR_I8]; MR_I8];
+        for (o, accrow) in out.iter_mut().zip(acc.iter()) {
+            _mm_storeu_si128(o.as_mut_ptr() as *mut __m128i, accrow[0]);
+            _mm_storeu_si128(o.as_mut_ptr().add(4) as *mut __m128i, accrow[1]);
+        }
+        out
+    }
+}
+
+/// The integer tile step: SSE2 on x86_64, the scalar reference elsewhere.
+#[inline(always)]
+fn i8_tile(ap: &[i16], bp: &[i16]) -> [[i32; NR_I8]; MR_I8] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        i8_tile_sse2(ap, bp)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        i8_tile_scalar(ap, bp)
+    }
+}
 
 /// `C = A × Bᵀ` over `i8` operands with exact `i32` accumulation:
-/// `a: (m, k)` and `b: (n, k)` row-major — every output element is one
-/// contiguous length-`k` dot product — writing `out: (m, n)`, fully
+/// `a: (m, k)` and `b: (n, k)` row-major, writing `out: (m, n)`, fully
 /// overwritten.
 ///
 /// This is the NPU arm's compute kernel: integer accumulation is exact (no
-/// rounding at any summation order), so the scalar, SIMD and row-parallel
-/// paths are bitwise-identical by construction. Per-tensor scales are *not*
-/// applied here; callers apply `sa·sb` once at the i32→f32 epilogue
+/// rounding at any summation order), so the SSE2, scalar and row-parallel
+/// paths are bitwise-identical by construction. `B` is packed once per
+/// call, outside the row panels; each panel packs its own rows of `A` and
+/// runs the `MR_I8 × NR_I8` register tile over them. Per-tensor scales are
+/// *not* applied here; callers apply `sa·sb` once at the i32→f32 epilogue
 /// ([`crate::quant::quantized_matmul`] does exactly that).
 ///
-/// The accumulator bounds the shared dimension: `k · 127² < 2³¹` requires
-/// `k ≤ 2¹⁷`, far above any layer in the model zoo.
+/// The accumulator bounds the shared dimension: `k · 128² < 2³¹` requires
+/// `k < 2¹⁷`, far above any layer in the model zoo.
 ///
 /// # Panics
 /// Panics if the slice lengths do not match the given dimensions.
@@ -606,36 +698,46 @@ pub fn matmul_i8_a_bt_slices(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: u
     assert_eq!(b.len(), n * k, "matmul_i8_a_bt_slices: b length");
     assert_eq!(out.len(), m * n, "matmul_i8_a_bt_slices: out length");
     let _t = Timer::start(KernelOp::MatmulI8);
-    if worth_parallel(m, k, n) {
-        par_row_panels(out, m, n, &|i0, i1, out_rows| {
-            matmul_i8_panel(&a[i0 * k..i1 * k], b, out_rows, i1 - i0, k, n);
-        });
-    } else {
-        matmul_i8_panel(a, b, out, m, k, n);
+    if k == 0 {
+        out.fill(0);
+        return;
     }
+    I8_PACK_B.with(|bpack| {
+        let mut bpack = bpack.borrow_mut();
+        pack_i8_pairs(b, n, k, NR_I8, &mut bpack);
+        let bpack = &bpack[..];
+        if worth_parallel(m, k, n) {
+            par_row_panels(out, m, n, &|i0, i1, out_rows| {
+                matmul_i8_panel(&a[i0 * k..i1 * k], bpack, out_rows, i1 - i0, k, n);
+            });
+        } else {
+            matmul_i8_panel(a, bpack, out, m, k, n);
+        }
+    });
 }
 
-/// Sequential i8 dot-product kernel over an `m`-row slice of `A`/`out`.
-/// Columns are walked in blocks of four so each `A` row stays register/L1
-/// resident across several `B` rows; i32 exactness makes the blocking
-/// order-irrelevant.
-fn matmul_i8_panel(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
-    const JB: usize = 4;
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + JB <= n {
-            for jj in j..j + JB {
-                orow[jj] = dot_i8(arow, &b[jj * k..(jj + 1) * k]);
+/// Sequential integer kernel over an `m`-row slice of `A`/`out` against the
+/// packed `B` panels (`k > 0`). Each B panel stays L1-resident while every
+/// packed A block of the slice passes over it; padded rows and columns of a
+/// tile are computed and dropped.
+fn matmul_i8_panel(a: &[i8], bpack: &[i16], out: &mut [i32], m: usize, k: usize, n: usize) {
+    let steps = k.div_ceil(2);
+    I8_PACK_A.with(|apack| {
+        let mut apack = apack.borrow_mut();
+        pack_i8_pairs(a, m, k, MR_I8, &mut apack);
+        for (jb, bpanel) in bpack.chunks_exact(steps * 2 * NR_I8).enumerate() {
+            let j0 = jb * NR_I8;
+            let cols = NR_I8.min(n - j0);
+            for (ib, ablock) in apack.chunks_exact(steps * 2 * MR_I8).enumerate() {
+                let i0 = ib * MR_I8;
+                let tile = i8_tile(ablock, bpanel);
+                for (r, row) in tile.iter().enumerate().take(m - i0) {
+                    let o = (i0 + r) * n + j0;
+                    out[o..o + cols].copy_from_slice(&row[..cols]);
+                }
             }
-            j += JB;
         }
-        while j < n {
-            orow[j] = dot_i8(arow, &b[j * k..(j + 1) * k]);
-            j += 1;
-        }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -896,23 +998,45 @@ mod tests {
         }
     }
 
-    /// The dispatched i8 dot (SIMD when enabled) equals the scalar widened
-    /// reference exactly, across lengths that exercise every tail path.
+    /// The SSE2 integer tile equals the scalar reference exactly on packed
+    /// blocks over the full i8 range, at step counts from 1 to 40.
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn dot_i8_matches_scalar_exactly() {
-        for &len in &[0usize, 1, 7, 8, 15, 16, 17, 31, 32, 33, 63, 100, 257] {
-            let a = rand_i8(len, len as u64 + 1);
-            let b = rand_i8(len, len as u64 * 31 + 7);
-            assert_eq!(dot_i8(&a, &b), dot_i8_scalar(&a, &b), "len {len}");
+    fn i8_tile_sse2_matches_scalar_exactly() {
+        for k in 1..80usize {
+            let a = rand_i8(MR_I8 * k, k as u64 + 1);
+            let b = rand_i8(NR_I8 * k, k as u64 * 31 + 7);
+            let (mut ap, mut bp) = (Vec::new(), Vec::new());
+            pack_i8_pairs(&a, MR_I8, k, MR_I8, &mut ap);
+            pack_i8_pairs(&b, NR_I8, k, NR_I8, &mut bp);
+            assert_eq!(i8_tile_sse2(&ap, &bp), i8_tile_scalar(&ap, &bp), "k {k}");
         }
+        // the extreme products: every lane at -128 × -128
+        let (mut ap, mut bp) = (Vec::new(), Vec::new());
+        pack_i8_pairs(&[-128; MR_I8 * 64], MR_I8, 64, MR_I8, &mut ap);
+        pack_i8_pairs(&[-128; NR_I8 * 64], NR_I8, 64, NR_I8, &mut bp);
+        assert_eq!(i8_tile_sse2(&ap, &bp), [[64 * 128 * 128; NR_I8]; MR_I8]);
+        assert_eq!(i8_tile_scalar(&ap, &bp), [[64 * 128 * 128; NR_I8]; MR_I8]);
     }
 
     /// The i8 GEMM equals a naive widened-i32 triple loop exactly on
-    /// awkward shapes (same tile-edge torture list as the f32 kernels).
+    /// awkward shapes (the f32 kernels' tile-edge torture list), the tile
+    /// edges `m < MR_I8`, `n < NR_I8` and odd `k`, and the VGG-11 conv
+    /// shapes of the mixed-precision arm (width 0.22, 8×8 input, batch 10).
     #[test]
     fn i8_gemm_matches_widened_reference() {
         for &(m, k, n) in &[
+            (0, 3, 5),
+            (3, 0, 5),
             (1, 1, 1),
+            (3, 5, 7),
+            (2, 2, 8),
+            (4, 9, 8),
+            (5, 17, 9),
+            (640, 27, 14),
+            (160, 126, 28),
+            (40, 504, 56),
+            (10, 1008, 112),
             (1, 7, 23),
             (23, 7, 1),
             (4, 4, 16),
@@ -947,8 +1071,10 @@ mod tests {
         for &(m, k, n) in &[(97, 64, 48), (130, 70, 33), (256, 64, 17)] {
             let a = rand_i8(m * k, (m + k) as u64);
             let b = rand_i8(n * k, (k + n + 7) as u64);
+            let mut bpack = Vec::new();
+            pack_i8_pairs(&b, n, k, NR_I8, &mut bpack);
             let mut serial = vec![0i32; m * n];
-            matmul_i8_panel(&a, &b, &mut serial, m, k, n);
+            matmul_i8_panel(&a, &bpack, &mut serial, m, k, n);
             let mut par = vec![0i32; m * n];
             matmul_i8_a_bt_slices(&a, &b, &mut par, m, k, n);
             assert_eq!(par, serial, "matmul_i8 {m}x{k}x{n}");

@@ -93,7 +93,7 @@ impl QuantFormat {
                 let gm = self.grid_max();
                 let scale = if m == 0.0 { 1.0 } else { m / gm };
                 for (o, &v) in od.iter_mut().zip(t.data()) {
-                    *o = (v / scale).round().clamp(-gm, gm) * scale;
+                    *o = round_clamp(v / scale, gm) * scale;
                 }
             }
         }
@@ -139,6 +139,34 @@ pub fn fp16_round(v: f32) -> f32 {
     f32::from_bits(rounded)
 }
 
+/// 1.5·2²³: for `|c| < 2²²`, `c + ROUND_MAGIC` has no fraction bits left,
+/// so the addition rounds `c` to the nearest integer (ties to even), and the
+/// sum's low mantissa bits hold that integer in two's complement.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// `x.round().clamp(-grid_max, grid_max)`, bit for bit — `-0.0` and NaN
+/// included — without the `roundf` libm call that `f32::round` compiles to
+/// on the baseline x86_64 target, so loops over it vectorize.
+///
+/// Clamps first (rounding commutes with clamping to an integer bound), then
+/// rounds by adding and subtracting 1.5·2²³. That rounds ties to even, so
+/// an exact tie (`|c - r| == 0.5`, exact here) moves to `c ± 0.5`: half
+/// away from zero, as [`f32::round`] does. `copysign` restores the `-0.0`
+/// of negative inputs that round to zero; a NaN passes through the
+/// additions quieted, as `roundf` leaves it. `grid_max` must be a
+/// non-negative integer below 2²² (the grids here are 7, 127 and 32767).
+#[inline(always)]
+pub fn round_clamp(x: f32, grid_max: f32) -> f32 {
+    let c = x.clamp(-grid_max, grid_max);
+    let r = (c + ROUND_MAGIC) - ROUND_MAGIC;
+    let r = if (c - r).abs() == 0.5 {
+        c + 0.5f32.copysign(c)
+    } else {
+        r
+    };
+    r.copysign(c)
+}
+
 /// Symmetric per-tensor quantization parameters: `real = scale * int`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
@@ -159,8 +187,13 @@ impl QuantParams {
 
     /// Quantizes one value to the clipped INT8 grid.
     pub fn quantize_value(&self, v: f32) -> i8 {
-        let q = (v / self.scale).round();
-        q.clamp(-INT8_MAX, INT8_MAX) as i8
+        let q = round_clamp(v / self.scale, INT8_MAX);
+        // `q` is an integer in ±127, or NaN, which `as i8` maps to 0. A
+        // saturating float cast does not vectorize; reading the integer off
+        // the magic sum does: `ROUND_MAGIC`'s low byte is zero, so the sum's
+        // low byte is `q` in two's complement.
+        let q = if q.is_nan() { 0.0 } else { q };
+        (q + ROUND_MAGIC).to_bits() as i8
     }
 
     /// Recovers the real value of one quantized step.
@@ -213,11 +246,12 @@ pub fn dequantize(q: &[i8], shape: impl Into<Shape>, p: QuantParams) -> Tensor {
 
 /// [`dequantize`] writing into `out`, reusing its storage.
 ///
-/// `dequantize_into(quantize(x), ..)` is bitwise-identical to
-/// [`fake_quant`]`(x)` for finite inputs (both compute
-/// `round(clamp(v/s)) * s` with the same operand order), so integer-path
-/// layers can cache the dequantized activations and leave every backward
-/// pass untouched.
+/// `dequantize_into(quantize(x), ..)` equals [`fake_quant`]`(x)` for finite
+/// inputs (both compute `round(clamp(v/s)) * s` with the same operand
+/// order), so integer-path layers can cache the dequantized activations and
+/// leave every backward pass untouched. The two differ only in the sign of
+/// zero: an input in (−s/2, 0] becomes −0.0 under `fake_quant` but +0.0
+/// here, since the i8 grid has no −0.
 pub fn dequantize_into(q: &[i8], shape: impl Into<Shape>, p: QuantParams, out: &mut Tensor) {
     let _timer = Timer::start(KernelOp::Quant);
     out.resize(shape.into());
@@ -236,20 +270,14 @@ pub fn dequantize_into(q: &[i8], shape: impl Into<Shape>, p: QuantParams, out: &
 /// mask.
 pub fn fake_quant(t: &Tensor, p: QuantParams) -> Tensor {
     let _timer = Timer::start(KernelOp::Quant);
-    t.map(|v| {
-        let q = (v / p.scale).round().clamp(-INT8_MAX, INT8_MAX);
-        q * p.scale
-    })
+    t.map(|v| round_clamp(v / p.scale, INT8_MAX) * p.scale)
 }
 
 /// [`fake_quant`] applied in place: fuses quantize→dequantize into one
 /// read-modify-write sweep over the tensor's storage.
 pub fn fake_quant_inplace(t: &mut Tensor, p: QuantParams) {
     let _timer = Timer::start(KernelOp::Quant);
-    t.map_inplace(|v| {
-        let q = (v / p.scale).round().clamp(-INT8_MAX, INT8_MAX);
-        q * p.scale
-    });
+    t.map_inplace(|v| round_clamp(v / p.scale, INT8_MAX) * p.scale);
 }
 
 /// Straight-through-estimator mask: 1.0 where the value is inside the
@@ -475,8 +503,8 @@ mod tests {
         dequantize_into(&q, [4, 6], p, &mut back);
         assert_eq!(back, dequantize(&q, [4, 6], p));
 
-        // dequantize(quantize(x)) must be bitwise-identical to fake_quant(x):
-        // integer-path layers rely on this to cache activations for backward.
+        // dequantize(quantize(x)) equals fake_quant(x); bitwise here because
+        // no input lies in (−s/2, 0] (see `roundtrip_loses_only_the_sign_of_zero`).
         let fq = fake_quant(&t, p);
         assert_eq!(
             back.data()
@@ -491,6 +519,96 @@ mod tests {
         quantize_transposed_into(&t, p, &mut qt);
         let tt = crate::linalg::transpose(&t);
         assert_eq!(qt, quantize(&tt, p));
+    }
+
+    /// `dequantize(quantize(x))` equals `fake_quant(x)` in value everywhere
+    /// and in bits everywhere but one place: an input in (−s/2, 0], which
+    /// rounds to zero, keeps its sign through `fake_quant` (−0.0), while the
+    /// i8 round trip has no −0 and yields +0.0.
+    #[test]
+    fn roundtrip_loses_only_the_sign_of_zero() {
+        let p = QuantParams { scale: 0.5 };
+        let signed_zero = [-0.0, -1e-30, -0.1, -0.2499];
+        let exact = [0.0, 1e-30, 0.1, 0.25, -0.25, -0.26, 0.7, -0.7, 60.0, -70.0];
+        let xs: Vec<f32> = signed_zero.iter().chain(&exact).copied().collect();
+        let t = Tensor::from_vec(xs.clone(), [xs.len()]);
+        let fq = fake_quant(&t, p);
+        let rt = dequantize(&quantize(&t, p), [xs.len()], p);
+        for (i, ((&x, &f), &r)) in xs.iter().zip(fq.data()).zip(rt.data()).enumerate() {
+            assert_eq!(f, r, "value at {x}");
+            if i < signed_zero.len() {
+                assert_eq!((f.to_bits(), r.to_bits()), ((-0.0f32).to_bits(), 0), "{x}");
+            } else {
+                assert_eq!(f.to_bits(), r.to_bits(), "bits at {x}");
+            }
+        }
+    }
+
+    /// Checks `round_clamp` against `round().clamp()` bit for bit at every
+    /// grid, and `quantize_value` against the old `as i8` cast.
+    fn check_round_clamp(x: f32) {
+        for gm in [7.0f32, 127.0, 32767.0] {
+            let want = x.round().clamp(-gm, gm);
+            assert_eq!(
+                round_clamp(x, gm).to_bits(),
+                want.to_bits(),
+                "{x:e} ({:#010x}) at ±{gm}",
+                x.to_bits()
+            );
+        }
+        let unit = QuantParams { scale: 1.0 };
+        let want = x.round().clamp(-INT8_MAX, INT8_MAX) as i8;
+        assert_eq!(
+            unit.quantize_value(x),
+            want,
+            "{x:e} ({:#010x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn round_clamp_matches_round_then_clamp() {
+        // A prime stride over every f32 bit pattern: both signs, every
+        // exponent, NaN payloads.
+        for bits in (0..=u32::MAX).step_by(4099) {
+            check_round_clamp(f32::from_bits(bits));
+        }
+        // Every tie k.5 up past the largest grid, and its ±1-ulp neighbours.
+        for k in 0..=32768u32 {
+            let tie = k as f32 + 0.5;
+            for v in [tie, -tie] {
+                for x in [v, v.next_up(), v.next_down()] {
+                    check_round_clamp(x);
+                }
+            }
+        }
+        for x in [
+            0.0,
+            -0.0,
+            f32::from_bits(1),            // smallest subnormal
+            -f32::from_bits(0x007F_FFFF), // largest subnormal
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001), // signalling NaN
+            f32::from_bits(0xFFC0_1234), // negative quiet NaN with payload
+        ] {
+            check_round_clamp(x);
+        }
+    }
+
+    /// All 2³² inputs. Run with
+    /// `cargo test --release -p socflow-tensor -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive: about a minute in release"]
+    fn round_clamp_matches_round_then_clamp_exhaustively() {
+        for bits in 0..=u32::MAX {
+            check_round_clamp(f32::from_bits(bits));
+        }
     }
 
     #[test]

@@ -308,9 +308,28 @@ impl Tensor {
         }
     }
 
-    /// Maximum absolute value; 0 for an empty tensor.
+    /// Maximum absolute value, ignoring NaN; 0 for an empty tensor.
+    ///
+    /// Runs 32 independent running maxima, so the loop vectorizes and no
+    /// single max chain bounds it. A NaN-ignoring max over `|x|` does not
+    /// depend on the visiting order, so the lanes give the same bits as one
+    /// sequential fold.
     pub fn abs_max(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &a| m.max(a.abs()))
+        const LANES: usize = 32;
+        // `a > m` is false for NaN, which keeps `m`: the same NaN-ignoring
+        // max as `f32::max`, written so it lowers to a plain vector max.
+        let max = |m: f32, a: f32| if a > m { a } else { m };
+        let mut lanes = [0.0f32; LANES];
+        let chunks = self.data.chunks_exact(LANES);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (m, &a) in lanes.iter_mut().zip(chunk) {
+                *m = max(*m, a.abs());
+            }
+        }
+        tail.iter()
+            .chain(&lanes)
+            .fold(0.0f32, |m, &a| max(m, a.abs()))
     }
 
     /// Euclidean (L2) norm.
@@ -541,6 +560,32 @@ mod tests {
         assert_eq!(t.mean(), -0.5);
         assert_eq!(t.abs_max(), 4.0);
         assert!((t.l2_norm() - 5.0).abs() < 1e-6);
+    }
+
+    /// The lane-parallel `abs_max` returns the bits of the sequential
+    /// `f32::max` fold at every length and lane position, with NaN, ±inf
+    /// and −0.0 mixed in.
+    #[test]
+    fn abs_max_matches_sequential_fold() {
+        let specials = [f32::NAN, -0.0, f32::NEG_INFINITY, -f32::NAN, 1e-45];
+        let mut state = 0x5EEDu64;
+        for len in 0..70 {
+            for special_at in 0..=len {
+                let mut data: Vec<f32> = (0..len)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+                    })
+                    .collect();
+                if special_at < len {
+                    data[special_at] = specials[(len + special_at) % specials.len()];
+                }
+                let want = data.iter().fold(0.0f32, |m, &a| m.max(a.abs()));
+                let t = Tensor::from_vec(data, [len]);
+                assert_eq!(t.abs_max().to_bits(), want.to_bits(), "len {len}");
+            }
+        }
+        assert_eq!(Tensor::from_vec(vec![-0.0; 9], [9]).abs_max().to_bits(), 0);
     }
 
     #[test]

@@ -256,6 +256,40 @@ proptest! {
         prop_assert_eq!(got.data(), &expect[..]);
     }
 
+    /// The register-blocked i8 kernel itself, over the full i8 range
+    /// (−128 included, which the quantizer never emits) and shapes that
+    /// cross every tile edge — `m` and `n` below and above the tile, odd
+    /// and even `k`, up to sizes that take the row-parallel path — equals
+    /// the widened-i32 triple loop exactly.
+    #[test]
+    fn int8_kernel_full_range_matches_widened_reference(
+        m in 1usize..72,
+        k in 1usize..130,
+        n in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        let mut state = seed;
+        let mut next_i8 = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 56) as i8
+        };
+        let a: Vec<i8> = (0..m * k).map(|_| next_i8()).collect();
+        let b: Vec<i8> = (0..n * k).map(|_| next_i8()).collect();
+        let mut got = vec![i32::MIN; m * n]; // stale: must be fully overwritten
+        socflow_tensor::linalg::matmul_i8_a_bt_slices(&a, &b, &mut got, m, k, n);
+        let mut expect = vec![0i32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                expect[i * n + j] = (0..k)
+                    .map(|p| i32::from(a[i * k + p]) * i32::from(b[j * k + p]))
+                    .sum();
+            }
+        }
+        prop_assert_eq!(got, expect);
+    }
+
     /// The `_into` kernel variants equal their allocating wrappers even
     /// when the destination arrives dirty with a stale shape — the pooled
     /// scratch path recycles buffers across layers of different sizes.

@@ -200,6 +200,14 @@ impl Options {
         if o.socs == 0 {
             return Err("--socs must be positive".into());
         }
+        if let Some(g) = o.groups {
+            if g == 0 || g > o.socs {
+                return Err(format!(
+                    "--groups must be between 1 and --socs ({}), got {g}",
+                    o.socs
+                ));
+            }
+        }
         if o.resume && o.checkpoint_dir.is_none() {
             return Err("--resume needs --checkpoint-dir".into());
         }
@@ -283,6 +291,19 @@ mod tests {
         assert_eq!(o.model, "vgg11");
         assert_eq!(o.groups, Some(4));
         assert!(o.json);
+    }
+
+    #[test]
+    fn groups_must_fit_the_socs() {
+        assert_eq!(
+            parse(&["--socs", "7", "--groups", "7"]).unwrap().groups,
+            Some(7)
+        );
+        let err = parse(&["--socs", "7", "--groups", "9"]).unwrap_err();
+        assert!(err.contains("--groups"), "{err}");
+        assert!(parse(&["--socs", "7", "--groups", "0"]).is_err());
+        // the default --socs (32) bounds --groups too
+        assert!(parse(&["--groups", "33"]).is_err());
     }
 
     #[test]

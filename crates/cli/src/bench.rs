@@ -300,6 +300,9 @@ fn to_json(results: &[Measurement], fast: bool) -> serde_json::Value {
             "mode".into(),
             Value::Str(if fast { "fast" } else { "full" }.into()),
         ),
+        // the f32 and i8 tiles that ran: timings depend on the CPU's
+        // features, results do not
+        ("isa".into(), Value::Str(linalg::kernel_isa())),
         (
             "profiled_beta".into(),
             Value::F64(measured_beta(results).unwrap_or(0.0)),
@@ -1546,6 +1549,7 @@ pub fn bench(argv: &[String]) -> Result<(), String> {
     }
 
     let results = run_suite(fast);
+    println!("kernel tiles: {}", linalg::kernel_isa());
     println!(
         "{:<16} {:<18} {:>6} {:>12} {:>9}",
         "op", "shape", "iters", "ns/iter", "GFLOP/s"
@@ -1595,6 +1599,7 @@ mod tests {
         let doc = to_json(&results, true);
         assert_eq!(doc.get("schema").as_str(), Some("socflow-kernel-bench/v1"));
         assert_eq!(doc.get("mode").as_str(), Some("fast"));
+        assert_eq!(doc.get("isa").as_str(), Some(linalg::kernel_isa().as_str()));
         assert_eq!(doc.get("profiled_beta").as_f64(), Some(beta));
         assert_eq!(doc.get("results").as_array().unwrap().len(), results.len());
     }

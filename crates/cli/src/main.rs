@@ -32,6 +32,12 @@ fn main() {
         std::process::exit(2);
     }
     let cmd = argv.remove(0);
+    // every subcommand answers `--help` before its flags are parsed, where
+    // the bare switch would otherwise read as a flag missing its value
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        commands::print_usage();
+        return;
+    }
     // `trace` and `bench` take positional operands, not `--flag value` pairs
     if cmd == "trace" || cmd == "bench" {
         let outcome = if cmd == "trace" {
@@ -50,7 +56,7 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             commands::print_usage();
-            std::process::exit(2);
+            std::process::exit(1);
         }
     };
     let outcome = match cmd.as_str() {

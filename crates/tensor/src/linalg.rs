@@ -2,31 +2,41 @@
 //! transposes.
 //!
 //! These routines are the compute kernels behind [`socflow_nn`]'s linear and
-//! (via im2col) convolution layers. Each product is computed by an
-//! `MR × NR` micro-kernel that keeps a fixed-size accumulator tile in
-//! registers and streams contiguously over the operands, so rustc
-//! autovectorizes the inner loops without any nightly SIMD or external
-//! dependencies. Edge tails (shapes that are not multiples of the tile) fall
-//! back to scalar loops with the same accumulation order.
+//! (via im2col) convolution layers.
 //!
-//! **Numerics contract:** every kernel accumulates each output element
-//! strictly sequentially over the shared dimension `p` in ascending order —
-//! the same order as a naive triple loop. Tiling changes *which* elements are
-//! computed together, never the floating-point summation order, so results
-//! are bit-identical to the pre-tiled kernels and deterministic across runs.
+//! **One f32 tile.** Every f32 product — `A × B`, `Aᵀ × B` and `A × Bᵀ` —
+//! runs one `MR × NR` register tile: `MR` rows of a strided view of A
+//! against a `k × NR` panel of B, which is either read in place (`B`'s full
+//! column blocks) or packed into a zero-padded panel (`B`'s last `n mod NR`
+//! columns, and both operands of `A × Bᵀ`). A short last row tile repeats
+//! the last valid row and drops the duplicates, and zero-padded columns are
+//! computed and never stored, so no shape takes a scalar tail loop.
 //!
-//! **SIMD:** the `simd` cargo feature covers only the f32 accumulate steps
-//! (explicit SSE2/NEON lanes instead of autovectorized loops). The integer
-//! GEMM packs i16 pairs and always runs an SSE2 `_mm_madd_epi16` step on
-//! x86_64 — SSE2 is part of that target's baseline — and a portable scalar
-//! step elsewhere; its i32 sums are exact, so every path agrees bit for bit.
+//! **ISA tiers.** The tile is written with explicit `std::arch` intrinsics,
+//! never left to autovectorization: an SSE2 `__m128` tile on x86_64 (part
+//! of the baseline ABI, so always available), an AVX `__m256` tile chosen
+//! at run time when the CPU reports AVX, a NEON tile on aarch64 with the
+//! `simd` feature, and a portable scalar reference everywhere else. The
+//! integer GEMM has the same dispatch: an SSE2 `_mm_madd_epi16` tile on
+//! x86_64, an AVX2 one when the CPU has it, scalar elsewhere.
+//! [`kernel_isa`] names the tiers that run.
+//!
+//! **Why every host computes the same bits.** Each output element is a sum
+//! over the shared dimension `p` in ascending order, one multiply and one
+//! add per step — the order of a naive triple loop. A SIMD lane is one
+//! output element, so the tiers differ only in how many elements advance
+//! together, never in the operations applied to any one of them. No tier
+//! uses FMA (a fused multiply-add rounds once where the reference rounds
+//! twice), and the packed `A × Bᵀ` branch that computes `Cᵀ = B × Aᵀ` only
+//! swaps the operands of each IEEE multiply, which is commutative. The
+//! integer tiles sum exactly in i32, where order cannot matter.
 //!
 //! **Parallelism:** large products are split into fixed-size row panels of
 //! the output (`ROWS_PER_CHUNK` rows each) and dispatched on the
 //! [`crate::runtime`] worker pool. The panel decomposition depends only on
 //! `m` — never on the thread count — and each panel is computed by the same
-//! sequential micro-kernel writing a disjoint output region, so the
-//! parallel kernels are bit-identical to the single-threaded ones at any
+//! sequential sweep writing a disjoint output region, so the parallel
+//! kernels are bit-identical to the single-threaded ones at any
 //! `SOCFLOW_THREADS` setting.
 //!
 //! Every entry point has an `_into` variant that writes into a caller-owned
@@ -40,22 +50,27 @@ use crate::profile::{KernelOp, Timer};
 use crate::Tensor;
 use std::cell::RefCell;
 
-/// Rows of the register accumulator tile.
+/// Rows of the f32 register tile.
 const MR: usize = 4;
-/// Columns of the register accumulator tile (two 8-lane vectors on AVX2).
+/// Columns of the f32 register tile: two 8-lane AVX vectors, or four
+/// 4-lane SSE2/NEON vectors.
 const NR: usize = 16;
 
+/// One `MR × NR` block of f32 outputs.
+type Tile = [[f32; NR]; MR];
+
 thread_local! {
-    /// Scratch panel used by [`matmul_a_bt_slices`] to pack a transposed
-    /// `k × NR` tile of `B`. Thread-local so replica jobs and pool workers
-    /// never contend; reused across calls so steady-state matmuls allocate
-    /// nothing.
+    /// Zero-padded `k × NR` panel for B's column tail and for the packed
+    /// operand of [`matmul_a_bt_slices`]. Thread-local so replica jobs and
+    /// pool workers never contend; reused across calls so steady-state
+    /// matmuls allocate nothing.
     static PACK_PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Rows of output per parallel panel. A multiple of `MR`, so interior panels
-/// tile exactly like the single-threaded sweep; chosen from the problem
-/// shape only (never the thread count) to keep the partition deterministic.
+/// Rows of output per parallel panel. A multiple of `MR` and of `NR`, so
+/// interior panels tile exactly like the single-threaded sweep; chosen from
+/// the problem shape only (never the thread count) to keep the partition
+/// deterministic.
 const ROWS_PER_CHUNK: usize = 32;
 
 /// Minimum multiply-add count before a product takes the parallel path;
@@ -93,88 +108,310 @@ fn worth_parallel(m: usize, k: usize, n: usize) -> bool {
     m > ROWS_PER_CHUNK && m * k * n >= PAR_MIN_WORK && crate::runtime::threads() > 1
 }
 
-// ---------------------------------------------------------------------------
-// f32 micro-kernel accumulate steps: scalar reference + optional SIMD lanes
-// ---------------------------------------------------------------------------
-//
-// The `simd` cargo feature swaps the micro-kernels' innermost accumulate
-// steps for explicit `std::arch` lanes — SSE2 on x86_64 and NEON on aarch64,
-// both part of their target's baseline ABI, so no runtime feature detection
-// is needed. The SIMD bodies use a separate multiply and add (never FMA) and
-// keep each accumulator lane's additions in the same ascending-`p` order as
-// the scalar loop, so every output element sees the identical sequence of
-// f32 roundings: scalar and SIMD builds are bitwise-identical
-// (property-pinned in `tests/properties.rs`). The feature covers only these
-// f32 lanes: the integer GEMM further down always takes its SSE2 step on
-// x86_64.
-
-/// Scalar reference for the f32 accumulate step: `acc[c] += av * brow[c]`
-/// over the `NR` lanes. Kept compiled in every configuration — the SIMD
-/// lanes are property-pinned against it.
-#[cfg_attr(
-    all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(dead_code)
-)]
-#[inline(always)]
-fn axpy_nr_scalar(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
-    for (c, &bv) in acc.iter_mut().zip(brow.iter()) {
-        *c += av * bv;
+/// Names the tiles this CPU runs, f32 first and i8 second, joined by `+`
+/// (`"avx+avx2"`, `"avx+sse2"`), or one name when both are the same tier
+/// (`"sse2"`, `"scalar"`). Kernel timings depend on it; results do not.
+pub fn kernel_isa() -> String {
+    let (f, i) = (F32Tier::detect().name(), I8Tier::detect().name());
+    if f == i {
+        f.to_string()
+    } else {
+        format!("{f}+{i}")
     }
 }
 
-/// SSE2 f32 accumulate step: four 4-lane vectors cover the `NR = 16` tile.
-/// `_mm_mul_ps` + `_mm_add_ps` (no FMA) round exactly like the scalar loop.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn axpy_nr(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
-    debug_assert!(brow.len() >= NR);
-    // Safety: SSE2 is part of the x86_64 baseline ABI; loads/stores are the
-    // unaligned variants; both buffers hold at least NR elements.
-    unsafe {
-        use std::arch::x86_64::*;
-        let avv = _mm_set1_ps(av);
-        let mut lane = 0;
-        while lane < NR {
-            let b = _mm_loadu_ps(brow.as_ptr().add(lane));
-            let c = _mm_loadu_ps(acc.as_ptr().add(lane));
-            let r = _mm_add_ps(c, _mm_mul_ps(avv, b));
-            _mm_storeu_ps(acc.as_mut_ptr().add(lane), r);
-            lane += 4;
+// ---------------------------------------------------------------------------
+// The f32 tile: a scalar reference and explicit SIMD tiers
+// ---------------------------------------------------------------------------
+
+/// The A operand of a tile, as a strided view: element `(i, p)` is
+/// `data[i * rs + p * ps]`. A row-major `(m, k)` matrix is `rs = k, ps = 1`;
+/// the stored `(k, m)` operand of `Aᵀ × B` is `rs = 1, ps = m`.
+#[derive(Clone, Copy)]
+struct AView<'a> {
+    data: &'a [f32],
+    rs: usize,
+    ps: usize,
+}
+
+/// A `k × NR` panel of the B operand: row `p` is
+/// `data[p * stride..p * stride + NR]`.
+#[derive(Clone, Copy)]
+struct BPanel<'a> {
+    data: &'a [f32],
+    stride: usize,
+}
+
+/// Asserts that every element a tile over `rows` of `a` and `k` rows of `b`
+/// reads is in bounds; the SIMD tiers rely on it for their unchecked loads.
+/// No index can overflow: the entry points bound every dimension by a
+/// slice length.
+fn assert_tile_bounds(a: AView, rows: [usize; MR], b: BPanel, k: usize) {
+    if k == 0 {
+        return;
+    }
+    for r in rows {
+        assert!(
+            r * a.rs + (k - 1) * a.ps < a.data.len(),
+            "f32 tile: A row {r} out of bounds"
+        );
+    }
+    assert!(
+        (k - 1) * b.stride + NR <= b.data.len(),
+        "f32 tile: short B panel"
+    );
+}
+
+/// The f32 tile implementations. All of them return the same bits; see the
+/// module docs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum F32Tier {
+    /// Portable reference loop.
+    #[cfg_attr(
+        any(target_arch = "x86_64", all(feature = "simd", target_arch = "aarch64")),
+        allow(dead_code)
+    )]
+    Scalar,
+    /// `__m128` lanes; SSE2 is part of the x86_64 baseline.
+    #[cfg(target_arch = "x86_64")]
+    Sse2,
+    /// `__m256` lanes. Only [`F32Tier::detect`] and the tests construct
+    /// it, both after checking that the CPU has AVX.
+    #[cfg(target_arch = "x86_64")]
+    Avx,
+    /// NEON lanes; NEON is part of the aarch64 baseline.
+    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    Neon,
+}
+
+impl F32Tier {
+    /// The fastest tier the running CPU supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx") {
+                Self::Avx
+            } else {
+                Self::Sse2
+            }
+        }
+        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+        {
+            Self::Neon
+        }
+        #[cfg(not(any(target_arch = "x86_64", all(feature = "simd", target_arch = "aarch64"))))]
+        {
+            Self::Scalar
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Self::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Self::Sse2 => "sse2",
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx => "avx",
+            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+            Self::Neon => "neon",
+        }
+    }
+
+    /// `tile[r][c] = Σ_p a(rows[r], p) · b[p][c]`, summed in ascending `p`.
+    #[inline(always)]
+    fn tile(self, a: AView, rows: [usize; MR], b: BPanel, k: usize) -> Tile {
+        match self {
+            Self::Scalar => tile_scalar(a, rows, b, k),
+            #[cfg(target_arch = "x86_64")]
+            Self::Sse2 => tile_sse2(a, rows, b, k),
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx => {
+                debug_assert!(std::arch::is_x86_feature_detected!("avx"));
+                // SAFETY: `Avx` is only constructed after
+                // `is_x86_feature_detected!("avx")` returned true.
+                unsafe { tile_avx(a, rows, b, k) }
+            }
+            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+            Self::Neon => tile_neon(a, rows, b, k),
         }
     }
 }
 
-/// NEON f32 accumulate step (`vmulq_f32` + `vaddq_f32`, no fused multiply).
+/// Scalar reference tile: the naive triple loop's operations, element by
+/// element. Every SIMD tier is pinned against it bit for bit.
+fn tile_scalar(a: AView, rows: [usize; MR], b: BPanel, k: usize) -> Tile {
+    let mut acc = [[0.0f32; NR]; MR];
+    for p in 0..k {
+        let brow = &b.data[p * b.stride..p * b.stride + NR];
+        for (accrow, &r) in acc.iter_mut().zip(&rows) {
+            let av = a.data[r * a.rs + p * a.ps];
+            for (c, &bv) in accrow.iter_mut().zip(brow) {
+                *c += av * bv;
+            }
+        }
+    }
+    acc
+}
+
+/// SSE2 tile: `_mm_mul_ps` + `_mm_add_ps` per lane, never fused. The 16
+/// accumulators of a full 4×16 tile would not fit the 16 xmm registers
+/// beside the B and A operands, so the tile runs as two 4×8 halves over the
+/// whole of `k`; each element's sum is the same either way.
+#[cfg(target_arch = "x86_64")]
+fn tile_sse2(a: AView, rows: [usize; MR], b: BPanel, k: usize) -> Tile {
+    use std::arch::x86_64::*;
+    assert_tile_bounds(a, rows, b, k);
+    let off = rows.map(|r| r * a.rs);
+    let mut out = [[0.0f32; NR]; MR];
+    for half in [0, 8] {
+        // SAFETY: SSE2 is part of the x86_64 baseline. `assert_tile_bounds`
+        // proves `off[r] + p·ps < a.len()` and `p·stride + NR ≤ b.len()` for
+        // every `p < k`, which bounds each load; stores use unaligned
+        // intrinsics into `out`, whose rows hold NR floats.
+        unsafe {
+            let mut acc = [[_mm_setzero_ps(); 2]; MR];
+            for p in 0..k {
+                let brow = b.data.as_ptr().add(p * b.stride + half);
+                let (b0, b1) = (_mm_loadu_ps(brow), _mm_loadu_ps(brow.add(4)));
+                for (accrow, &o) in acc.iter_mut().zip(&off) {
+                    let av = _mm_set1_ps(*a.data.as_ptr().add(o + p * a.ps));
+                    accrow[0] = _mm_add_ps(accrow[0], _mm_mul_ps(av, b0));
+                    accrow[1] = _mm_add_ps(accrow[1], _mm_mul_ps(av, b1));
+                }
+            }
+            for (orow, accrow) in out.iter_mut().zip(&acc) {
+                _mm_storeu_ps(orow.as_mut_ptr().add(half), accrow[0]);
+                _mm_storeu_ps(orow.as_mut_ptr().add(half + 4), accrow[1]);
+            }
+        }
+    }
+    out
+}
+
+/// AVX tile: two `__m256` lanes per row, `_mm256_mul_ps` + `_mm256_add_ps`,
+/// never fused — eight accumulators plus two B vectors and one broadcast
+/// fit the 16 ymm registers.
+///
+/// # Safety
+/// The CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn tile_avx(a: AView, rows: [usize; MR], b: BPanel, k: usize) -> Tile {
+    use std::arch::x86_64::*;
+    assert_tile_bounds(a, rows, b, k);
+    let off = rows.map(|r| r * a.rs);
+    let mut out = [[0.0f32; NR]; MR];
+    // SAFETY: the caller guarantees AVX. `assert_tile_bounds` proves
+    // `off[r] + p·ps < a.len()` and `p·stride + NR ≤ b.len()` for every
+    // `p < k`, which bounds each load; stores use unaligned intrinsics into
+    // `out`, whose rows hold NR floats.
+    unsafe {
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+        for p in 0..k {
+            let brow = b.data.as_ptr().add(p * b.stride);
+            let (b0, b1) = (_mm256_loadu_ps(brow), _mm256_loadu_ps(brow.add(8)));
+            for (accrow, &o) in acc.iter_mut().zip(&off) {
+                let av = _mm256_set1_ps(*a.data.as_ptr().add(o + p * a.ps));
+                accrow[0] = _mm256_add_ps(accrow[0], _mm256_mul_ps(av, b0));
+                accrow[1] = _mm256_add_ps(accrow[1], _mm256_mul_ps(av, b1));
+            }
+        }
+        for (orow, accrow) in out.iter_mut().zip(&acc) {
+            _mm256_storeu_ps(orow.as_mut_ptr(), accrow[0]);
+            _mm256_storeu_ps(orow.as_mut_ptr().add(8), accrow[1]);
+        }
+    }
+    out
+}
+
+/// NEON tile: four `float32x4_t` lanes per row, `vmulq_f32` + `vaddq_f32`,
+/// never fused; the 32 vector registers hold the whole 4×16 tile.
 #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-#[inline(always)]
-fn axpy_nr(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
-    debug_assert!(brow.len() >= NR);
-    // Safety: NEON is part of the aarch64 baseline ABI; both buffers hold at
-    // least NR elements.
+fn tile_neon(a: AView, rows: [usize; MR], b: BPanel, k: usize) -> Tile {
+    use std::arch::aarch64::*;
+    assert_tile_bounds(a, rows, b, k);
+    let off = rows.map(|r| r * a.rs);
+    let mut out = [[0.0f32; NR]; MR];
+    // SAFETY: NEON is part of the aarch64 baseline. `assert_tile_bounds`
+    // proves `off[r] + p·ps < a.len()` and `p·stride + NR ≤ b.len()` for
+    // every `p < k`, which bounds each load; stores go into `out`, whose
+    // rows hold NR floats.
     unsafe {
-        use std::arch::aarch64::*;
-        let avv = vdupq_n_f32(av);
-        let mut lane = 0;
-        while lane < NR {
-            let b = vld1q_f32(brow.as_ptr().add(lane));
-            let c = vld1q_f32(acc.as_ptr().add(lane));
-            let r = vaddq_f32(c, vmulq_f32(avv, b));
-            vst1q_f32(acc.as_mut_ptr().add(lane), r);
-            lane += 4;
+        let mut acc = [[vdupq_n_f32(0.0); 4]; MR];
+        for p in 0..k {
+            let brow = b.data.as_ptr().add(p * b.stride);
+            let bv = [
+                vld1q_f32(brow),
+                vld1q_f32(brow.add(4)),
+                vld1q_f32(brow.add(8)),
+                vld1q_f32(brow.add(12)),
+            ];
+            for (accrow, &o) in acc.iter_mut().zip(&off) {
+                let av = vdupq_n_f32(*a.data.as_ptr().add(o + p * a.ps));
+                for (c, &bq) in accrow.iter_mut().zip(&bv) {
+                    *c = vaddq_f32(*c, vmulq_f32(av, bq));
+                }
+            }
+        }
+        for (orow, accrow) in out.iter_mut().zip(&acc) {
+            for (q, &c) in accrow.iter().enumerate() {
+                vst1q_f32(orow.as_mut_ptr().add(4 * q), c);
+            }
+        }
+    }
+    out
+}
+
+/// Runs the tile down rows `i0..i1` of `a` against one B panel and hands
+/// each result to `store(i, rows, tile)`, whose first `rows` rows are the
+/// outputs of rows `i..i + rows`. A short last tile repeats row `i1 - 1`.
+#[inline(always)]
+fn sweep(
+    tier: F32Tier,
+    a: AView,
+    (i0, i1): (usize, usize),
+    b: BPanel,
+    k: usize,
+    mut store: impl FnMut(usize, usize, &Tile),
+) {
+    for i in (i0..i1).step_by(MR) {
+        let rows = std::array::from_fn(|r| (i + r).min(i1 - 1));
+        store(i, MR.min(i1 - i), &tier.tile(a, rows, b, k));
+    }
+}
+
+/// Writes the first `rows × cols` of `tile` to `out` (row stride `n`) at
+/// row `i`, column `j`.
+#[inline(always)]
+fn store_tile(
+    out: &mut [f32],
+    n: usize,
+    (i, j): (usize, usize),
+    rows: usize,
+    cols: usize,
+    tile: &Tile,
+) {
+    for (r, trow) in tile.iter().enumerate().take(rows) {
+        let o = (i + r) * n + j;
+        out[o..o + cols].copy_from_slice(&trow[..cols]);
+    }
+}
+
+/// Packs `src`'s row-major length-`k` rows (at most `NR` of them)
+/// transposed into a zero-padded `k × NR` panel:
+/// `panel[p * NR + r] = src[r * k + p]`. Requires `k > 0`.
+fn pack_transposed(src: &[f32], k: usize, panel: &mut Vec<f32>) {
+    panel.clear();
+    panel.resize(k * NR, 0.0);
+    for (r, row) in src.chunks_exact(k).enumerate() {
+        for (p, &v) in row.iter().enumerate() {
+            panel[p * NR + r] = v;
         }
     }
 }
 
-/// Without the `simd` feature (or on other architectures) the accumulate
-/// step *is* the scalar reference.
-#[cfg(not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-#[inline(always)]
-fn axpy_nr(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
-    axpy_nr_scalar(acc, av, brow);
-}
-
 // ---------------------------------------------------------------------------
-// C = A × B
+// C = A × B and C = Aᵀ × B
 // ---------------------------------------------------------------------------
 
 /// `C = A × B` for row-major matrices `A: (m, k)`, `B: (k, n)`.
@@ -210,77 +447,19 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// `out: (m, n)`. `out` is fully overwritten.
 ///
 /// # Panics
-/// Panics (in debug builds via slice indexing) if the slice lengths do not
-/// match the given dimensions.
+/// Panics if the slice lengths do not match the given dimensions.
 pub fn matmul_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "matmul_slices: a length");
     assert_eq!(b.len(), k * n, "matmul_slices: b length");
     assert_eq!(out.len(), m * n, "matmul_slices: out length");
     let _t = Timer::start(KernelOp::Matmul);
-    if worth_parallel(m, k, n) {
-        par_row_panels(out, m, n, &|i0, i1, out_rows| {
-            matmul_panel(&a[i0 * k..i1 * k], b, out_rows, i1 - i0, k, n);
-        });
-    } else {
-        matmul_panel(a, b, out, m, k, n);
-    }
+    let a = AView {
+        data: a,
+        rs: k,
+        ps: 1,
+    };
+    gemm(F32Tier::detect(), a, b, out, m, k, n);
 }
-
-/// Sequential `MR × NR` kernel over an `m`-row slice of `A`/`out`: the
-/// original single-threaded sweep, reused verbatim by every parallel panel.
-fn matmul_panel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut j = 0;
-    // Full NR-wide column panels.
-    while j + NR <= n {
-        let mut i = 0;
-        // MR × NR register tiles.
-        while i + MR <= m {
-            let mut acc = [[0.0f32; NR]; MR];
-            for p in 0..k {
-                let brow = &b[p * n + j..p * n + j + NR];
-                for (mi, accrow) in acc.iter_mut().enumerate() {
-                    let av = a[(i + mi) * k + p];
-                    axpy_nr(accrow, av, brow);
-                }
-            }
-            for (mi, accrow) in acc.iter().enumerate() {
-                let orow = i + mi;
-                out[orow * n + j..orow * n + j + NR].copy_from_slice(accrow);
-            }
-            i += MR;
-        }
-        // Row tail: fewer than MR rows left, still NR-wide.
-        while i < m {
-            let mut acc = [0.0f32; NR];
-            for p in 0..k {
-                let av = a[i * k + p];
-                let brow = &b[p * n + j..p * n + j + NR];
-                axpy_nr(&mut acc, av, brow);
-            }
-            out[i * n + j..i * n + j + NR].copy_from_slice(&acc);
-            i += 1;
-        }
-        j += NR;
-    }
-    // Column tail: fewer than NR columns left, all rows.
-    if j < n {
-        for i in 0..m {
-            let orow = &mut out[i * n + j..(i + 1) * n];
-            orow.fill(0.0);
-            for p in 0..k {
-                let av = a[i * k + p];
-                let brow = &b[p * n + j..(p + 1) * n];
-                for (c, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *c += av * bv;
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// C = Aᵀ × B
-// ---------------------------------------------------------------------------
 
 /// `C = Aᵀ × B` for `A: (k, m)`, `B: (k, n)` without materializing `Aᵀ`.
 ///
@@ -314,77 +493,66 @@ pub fn matmul_at_b_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
     assert_eq!(b.len(), k * n, "matmul_at_b_slices: b length");
     assert_eq!(out.len(), m * n, "matmul_at_b_slices: out length");
     let _t = Timer::start(KernelOp::MatmulAtB);
-    if worth_parallel(m, k, n) {
+    let a = AView {
+        data: a,
+        rs: 1,
+        ps: m,
+    };
+    gemm(F32Tier::detect(), a, b, out, m, k, n);
+}
+
+/// `out = A × B` for an `(m, k)` view `a` and row-major `b: (k, n)`: the
+/// shared core of [`matmul_slices`] and [`matmul_at_b_slices`].
+fn gemm(tier: F32Tier, a: AView, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    if k == 0 {
+        out.fill(0.0);
+    } else if worth_parallel(m, k, n) {
         par_row_panels(out, m, n, &|i0, i1, out_rows| {
-            matmul_at_b_panel(a, b, out_rows, i0, i1, m, k, n);
+            gemm_panel(tier, a, (i0, i1), b, out_rows, k, n);
         });
     } else {
-        matmul_at_b_panel(a, b, out, 0, m, m, k, n);
+        gemm_panel(tier, a, (0, m), b, out, k, n);
     }
 }
 
-/// Sequential kernel for output rows `i0..i1` of `C = Aᵀ × B`. Unlike
-/// [`matmul_panel`], `a` cannot be row-sliced (row `i` of `Aᵀ` is the
-/// stride-`m` column `i` of `A`), so the panel takes the full operands plus
-/// a global row range; `out` holds only the panel's rows.
-///
-/// Identical tiling to `matmul_panel`; only the A addressing differs: the
-/// MR values needed per `p` are contiguous in A's row `p`.
-#[allow(clippy::too_many_arguments)]
-fn matmul_at_b_panel(
-    a: &[f32],
+/// Output rows `i0..i1` of `A × B` into `out`, which holds only those rows
+/// (`k > 0`). Full `NR`-column blocks of `B` are read in place; its last
+/// `n mod NR` columns are packed into a zero-padded panel first.
+fn gemm_panel(
+    tier: F32Tier,
+    a: AView,
+    (i0, i1): (usize, usize),
     b: &[f32],
     out: &mut [f32],
-    i0: usize,
-    i1: usize,
-    m: usize,
     k: usize,
     n: usize,
 ) {
-    let mut j = 0;
-    while j + NR <= n {
-        let mut i = i0;
-        while i + MR <= i1 {
-            let mut acc = [[0.0f32; NR]; MR];
-            for p in 0..k {
-                let apanel = &a[p * m + i..p * m + i + MR];
-                let brow = &b[p * n + j..p * n + j + NR];
-                for (accrow, &av) in acc.iter_mut().zip(apanel.iter()) {
-                    axpy_nr(accrow, av, brow);
-                }
-            }
-            for (mi, accrow) in acc.iter().enumerate() {
-                let orow = i - i0 + mi;
-                out[orow * n + j..orow * n + j + NR].copy_from_slice(accrow);
-            }
-            i += MR;
-        }
-        while i < i1 {
-            let mut acc = [0.0f32; NR];
-            for p in 0..k {
-                let av = a[p * m + i];
-                let brow = &b[p * n + j..p * n + j + NR];
-                axpy_nr(&mut acc, av, brow);
-            }
-            let orow = i - i0;
-            out[orow * n + j..orow * n + j + NR].copy_from_slice(&acc);
-            i += 1;
-        }
-        j += NR;
+    let full = n - n % NR;
+    for j in (0..full).step_by(NR) {
+        let panel = BPanel {
+            data: &b[j..],
+            stride: n,
+        };
+        sweep(tier, a, (i0, i1), panel, k, |i, rows, t| {
+            store_tile(out, n, (i - i0, j), rows, NR, t);
+        });
     }
-    if j < n {
-        for i in i0..i1 {
-            let li = i - i0;
-            let orow = &mut out[li * n + j..(li + 1) * n];
-            orow.fill(0.0);
-            for p in 0..k {
-                let av = a[p * m + i];
-                let brow = &b[p * n + j..(p + 1) * n];
-                for (c, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *c += av * bv;
-                }
+    if full < n {
+        PACK_PANEL.with(|panel| {
+            let mut panel = panel.borrow_mut();
+            panel.clear();
+            panel.resize(k * NR, 0.0);
+            for (prow, brow) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+                prow[..n - full].copy_from_slice(&brow[full..]);
             }
-        }
+            let panel = BPanel {
+                data: &panel,
+                stride: NR,
+            };
+            sweep(tier, a, (i0, i1), panel, k, |i, rows, t| {
+                store_tile(out, n, (i - i0, full), rows, n - full, t);
+            });
+        });
     }
 }
 
@@ -417,10 +585,11 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// `C = A × Bᵀ` on raw row-major slices: `a: (m, k)`, `b: (n, k)`,
 /// `out: (m, n)`. `out` is fully overwritten.
 ///
-/// Packs each `NR`-row tile of `B` into a transposed `k × NR` panel (held in
-/// thread-local scratch) so the same lane-parallel micro-kernel as
-/// [`matmul_slices`] applies; per-element accumulation stays sequential over
-/// `p`, bit-identical to a scalar dot product.
+/// Packs whichever operand has fewer rows, `NR` rows at a time, into a
+/// transposed zero-padded `k × NR` panel, so the tile's lanes run over that
+/// operand's rows. Packing `B` gives `C` tile by tile; packing `A` gives
+/// `Cᵀ = B × Aᵀ`, stored transposed — the same products, each with its
+/// IEEE-commutative multiply's operands swapped, summed in the same order.
 ///
 /// # Panics
 /// Panics if the slice lengths do not match the given dimensions.
@@ -429,72 +598,65 @@ pub fn matmul_a_bt_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
     assert_eq!(b.len(), n * k, "matmul_a_bt_slices: b length");
     assert_eq!(out.len(), m * n, "matmul_a_bt_slices: out length");
     let _t = Timer::start(KernelOp::MatmulABt);
-    if worth_parallel(m, k, n) {
+    a_bt(F32Tier::detect(), a, b, out, m, k, n);
+}
+
+/// Row-panel dispatch of [`matmul_a_bt_slices`] on tier `tier`.
+fn a_bt(tier: F32Tier, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    if k == 0 {
+        out.fill(0.0);
+    } else if worth_parallel(m, k, n) {
         par_row_panels(out, m, n, &|i0, i1, out_rows| {
-            matmul_a_bt_panel(&a[i0 * k..i1 * k], b, out_rows, i1 - i0, k, n);
+            a_bt_panel(tier, &a[i0 * k..i1 * k], b, out_rows, i1 - i0, k, n);
         });
     } else {
-        matmul_a_bt_panel(a, b, out, m, k, n);
+        a_bt_panel(tier, a, b, out, m, k, n);
     }
 }
 
-/// Sequential kernel over an `m`-row slice of `A`/`out` for `C = A × Bᵀ`.
-/// Each executing thread packs `B` tiles into its own `PACK_PANEL`, so
-/// parallel panels re-pack redundantly (~`k·n` extra reads per panel, a few
-/// percent of the panel's `rows·k·n` multiply-adds) but never share scratch.
-fn matmul_a_bt_panel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// Sequential `C = A × Bᵀ` over an `m`-row slice of `A`/`out` (`k > 0`).
+/// The packing choice follows the slice's own `m`, so a parallel panel of
+/// a wide product packs its 32 rows of `A` rather than all of `B`.
+fn a_bt_panel(tier: F32Tier, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     PACK_PANEL.with(|panel| {
         let mut panel = panel.borrow_mut();
-        panel.resize(k * NR, 0.0);
-        let mut j = 0;
-        while j + NR <= n {
-            // Pack rows j..j+NR of B, transposed: panel[p * NR + nj] = B[j+nj][p].
-            for nj in 0..NR {
-                let brow = &b[(j + nj) * k..(j + nj + 1) * k];
-                for (p, &bv) in brow.iter().enumerate() {
-                    panel[p * NR + nj] = bv;
-                }
-            }
-            let mut i = 0;
-            while i + MR <= m {
-                let mut acc = [[0.0f32; NR]; MR];
-                for p in 0..k {
-                    let brow = &panel[p * NR..(p + 1) * NR];
-                    for (mi, accrow) in acc.iter_mut().enumerate() {
-                        let av = a[(i + mi) * k + p];
-                        axpy_nr(accrow, av, brow);
+        if m < n {
+            let bv = AView {
+                data: b,
+                rs: k,
+                ps: 1,
+            };
+            for i in (0..m).step_by(NR) {
+                let rows = NR.min(m - i);
+                pack_transposed(&a[i * k..(i + rows) * k], k, &mut panel);
+                let ap = BPanel {
+                    data: &panel,
+                    stride: NR,
+                };
+                sweep(tier, bv, (0, n), ap, k, |j, cols, t| {
+                    for (c, trow) in t.iter().enumerate().take(cols) {
+                        for (r, &v) in trow.iter().enumerate().take(rows) {
+                            out[(i + r) * n + j + c] = v;
+                        }
                     }
-                }
-                for (mi, accrow) in acc.iter().enumerate() {
-                    let orow = i + mi;
-                    out[orow * n + j..orow * n + j + NR].copy_from_slice(accrow);
-                }
-                i += MR;
+                });
             }
-            while i < m {
-                let mut acc = [0.0f32; NR];
-                for p in 0..k {
-                    let av = a[i * k + p];
-                    let brow = &panel[p * NR..(p + 1) * NR];
-                    axpy_nr(&mut acc, av, brow);
-                }
-                out[i * n + j..i * n + j + NR].copy_from_slice(&acc);
-                i += 1;
-            }
-            j += NR;
-        }
-        // Column tail: plain sequential dot products (same order as packed path).
-        if j < n {
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                for jj in j..n {
-                    let brow = &b[jj * k..(jj + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                        acc += av * bv;
-                    }
-                    out[i * n + jj] = acc;
-                }
+        } else {
+            let av = AView {
+                data: a,
+                rs: k,
+                ps: 1,
+            };
+            for j in (0..n).step_by(NR) {
+                let cols = NR.min(n - j);
+                pack_transposed(&b[j * k..(j + cols) * k], k, &mut panel);
+                let bp = BPanel {
+                    data: &panel,
+                    stride: NR,
+                };
+                sweep(tier, av, (0, m), bp, k, |i, rows, t| {
+                    store_tile(out, n, (i, j), rows, cols, t);
+                });
             }
         }
     });
@@ -506,8 +668,9 @@ fn matmul_a_bt_panel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
 //
 // Both operands are packed as sign-extended i16 *pairs* along `k`: a packed
 // block of `w` rows stores, for each pair index `q`, the `w` rows' values at
-// `p = 2q` and `2q + 1` side by side. One SSE2 `_mm_madd_epi16` then
-// multiplies a broadcast A pair against four B column pairs and sums each
+// `p = 2q` and `2q + 1` side by side. One `_mm_madd_epi16` (SSE2) then
+// multiplies a broadcast A pair against four B column pairs, and one
+// `_mm256_madd_epi16` (AVX2) against all eight of a panel's, summing each
 // pair into an i32 lane — two multiply-adds per lane per step. `k` is
 // zero-padded to even and both row counts to whole blocks, so the tile has
 // no scalar tail; the padding adds exact zeros, which cannot change an
@@ -611,11 +774,76 @@ fn pack_quad_sse2(quad: &[i8], k: usize, w: usize, out: &mut [i16]) -> usize {
     passes * 8
 }
 
+/// One `MR_I8 × NR_I8` block of exact i32 outputs.
+type I8Tile = [[i32; NR_I8]; MR_I8];
+
+/// The integer tile implementations. Their i32 sums are exact, so all of
+/// them return the same values.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum I8Tier {
+    /// Portable reference loop.
+    #[cfg_attr(target_arch = "x86_64", allow(dead_code))]
+    Scalar,
+    /// `_mm_madd_epi16` on two `__m128i` per row; SSE2 is part of the
+    /// x86_64 baseline.
+    #[cfg(target_arch = "x86_64")]
+    Sse2,
+    /// `_mm256_madd_epi16` on one `__m256i` per row. Only
+    /// [`I8Tier::detect`] and the tests construct it, both after checking
+    /// that the CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl I8Tier {
+    /// The fastest tier the running CPU supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                Self::Avx2
+            } else {
+                Self::Sse2
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            Self::Scalar
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Self::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Self::Sse2 => "sse2",
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2 => "avx2",
+        }
+    }
+
+    /// The exact i32 products of one packed A block and one packed B panel.
+    #[inline(always)]
+    fn tile(self, ap: &[i16], bp: &[i16]) -> I8Tile {
+        match self {
+            Self::Scalar => i8_tile_scalar(ap, bp),
+            #[cfg(target_arch = "x86_64")]
+            Self::Sse2 => i8_tile_sse2(ap, bp),
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2 => {
+                debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+                // SAFETY: `Avx2` is only constructed after
+                // `is_x86_feature_detected!("avx2")` returned true.
+                unsafe { i8_tile_avx2(ap, bp) }
+            }
+        }
+    }
+}
+
 /// Scalar reference for the integer tile: the exact `MR_I8 × NR_I8` i32
-/// sums of one packed A block against one packed B panel. Kept compiled on
-/// every target — the SSE2 step is pinned against it.
-#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
-fn i8_tile_scalar(ap: &[i16], bp: &[i16]) -> [[i32; NR_I8]; MR_I8] {
+/// sums of one packed A block against one packed B panel. Every SIMD tier
+/// is pinned against it.
+fn i8_tile_scalar(ap: &[i16], bp: &[i16]) -> I8Tile {
     let mut acc = [[0i32; NR_I8]; MR_I8];
     for (a, b) in ap.chunks_exact(2 * MR_I8).zip(bp.chunks_exact(2 * NR_I8)) {
         for (accrow, ar) in acc.iter_mut().zip(a.chunks_exact(2)) {
@@ -630,14 +858,12 @@ fn i8_tile_scalar(ap: &[i16], bp: &[i16]) -> [[i32; NR_I8]; MR_I8] {
 
 /// SSE2 integer tile: per pair step, `MR_I8` broadcast A pairs times two
 /// 4-column B vectors through `_mm_madd_epi16` (exact: each i16 product
-/// pair sums to at most 2·128² in i32) plus `_mm_add_epi32`. SSE2 is part
-/// of the x86_64 baseline ABI, so this runs in every build.
+/// pair sums to at most 2·128² in i32) plus `_mm_add_epi32`.
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn i8_tile_sse2(ap: &[i16], bp: &[i16]) -> [[i32; NR_I8]; MR_I8] {
+fn i8_tile_sse2(ap: &[i16], bp: &[i16]) -> I8Tile {
     let steps = ap.len() / (2 * MR_I8);
     assert!(bp.len() >= steps * 2 * NR_I8, "i8 tile: short B panel");
-    // Safety: SSE2 is baseline on x86_64; every load is unaligned and stays
+    // SAFETY: SSE2 is baseline on x86_64; every load is unaligned and stays
     // inside the `steps` packed steps the assert above bounds.
     unsafe {
         use std::arch::x86_64::*;
@@ -663,17 +889,38 @@ fn i8_tile_sse2(ap: &[i16], bp: &[i16]) -> [[i32; NR_I8]; MR_I8] {
     }
 }
 
-/// The integer tile step: SSE2 on x86_64, the scalar reference elsewhere.
-#[inline(always)]
-fn i8_tile(ap: &[i16], bp: &[i16]) -> [[i32; NR_I8]; MR_I8] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        i8_tile_sse2(ap, bp)
+/// AVX2 integer tile: per pair step, one 8-column B vector (the panel's
+/// 16 i16 of that step, read in place) times `MR_I8` broadcast A pairs
+/// through `_mm256_madd_epi16` plus `_mm256_add_epi32`; exact like the
+/// SSE2 tile.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn i8_tile_avx2(ap: &[i16], bp: &[i16]) -> I8Tile {
+    use std::arch::x86_64::*;
+    let steps = ap.len() / (2 * MR_I8);
+    assert!(bp.len() >= steps * 2 * NR_I8, "i8 tile: short B panel");
+    let mut out = [[0i32; NR_I8]; MR_I8];
+    // SAFETY: the caller guarantees AVX2; every load is unaligned and stays
+    // inside the `steps` packed steps the assert above bounds; each store
+    // writes one 8-lane row of `out`.
+    unsafe {
+        let mut acc = [_mm256_setzero_si256(); MR_I8];
+        for q in 0..steps {
+            let b = _mm256_loadu_si256(bp.as_ptr().add(q * 2 * NR_I8) as *const __m256i);
+            let a = ap.as_ptr().add(q * 2 * MR_I8);
+            for (r, accrow) in acc.iter_mut().enumerate() {
+                let pair = _mm256_set1_epi32((a.add(2 * r) as *const i32).read_unaligned());
+                *accrow = _mm256_add_epi32(*accrow, _mm256_madd_epi16(pair, b));
+            }
+        }
+        for (o, accrow) in out.iter_mut().zip(&acc) {
+            _mm256_storeu_si256(o.as_mut_ptr() as *mut __m256i, *accrow);
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        i8_tile_scalar(ap, bp)
-    }
+    out
 }
 
 /// `C = A × Bᵀ` over `i8` operands with exact `i32` accumulation:
@@ -681,7 +928,7 @@ fn i8_tile(ap: &[i16], bp: &[i16]) -> [[i32; NR_I8]; MR_I8] {
 /// overwritten.
 ///
 /// This is the NPU arm's compute kernel: integer accumulation is exact (no
-/// rounding at any summation order), so the SSE2, scalar and row-parallel
+/// rounding at any summation order), so the AVX2, SSE2, scalar and row-parallel
 /// paths are bitwise-identical by construction. `B` is packed once per
 /// call, outside the row panels; each panel packs its own rows of `A` and
 /// runs the `MR_I8 × NR_I8` register tile over them. Per-tensor scales are
@@ -706,12 +953,13 @@ pub fn matmul_i8_a_bt_slices(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: u
         let mut bpack = bpack.borrow_mut();
         pack_i8_pairs(b, n, k, NR_I8, &mut bpack);
         let bpack = &bpack[..];
+        let tier = I8Tier::detect();
         if worth_parallel(m, k, n) {
             par_row_panels(out, m, n, &|i0, i1, out_rows| {
-                matmul_i8_panel(&a[i0 * k..i1 * k], bpack, out_rows, i1 - i0, k, n);
+                matmul_i8_panel(tier, &a[i0 * k..i1 * k], bpack, out_rows, i1 - i0, k, n);
             });
         } else {
-            matmul_i8_panel(a, bpack, out, m, k, n);
+            matmul_i8_panel(tier, a, bpack, out, m, k, n);
         }
     });
 }
@@ -720,7 +968,15 @@ pub fn matmul_i8_a_bt_slices(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: u
 /// packed `B` panels (`k > 0`). Each B panel stays L1-resident while every
 /// packed A block of the slice passes over it; padded rows and columns of a
 /// tile are computed and dropped.
-fn matmul_i8_panel(a: &[i8], bpack: &[i16], out: &mut [i32], m: usize, k: usize, n: usize) {
+fn matmul_i8_panel(
+    tier: I8Tier,
+    a: &[i8],
+    bpack: &[i16],
+    out: &mut [i32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let steps = k.div_ceil(2);
     I8_PACK_A.with(|apack| {
         let mut apack = apack.borrow_mut();
@@ -730,7 +986,7 @@ fn matmul_i8_panel(a: &[i8], bpack: &[i16], out: &mut [i32], m: usize, k: usize,
             let cols = NR_I8.min(n - j0);
             for (ib, ablock) in apack.chunks_exact(steps * 2 * MR_I8).enumerate() {
                 let i0 = ib * MR_I8;
-                let tile = i8_tile(ablock, bpanel);
+                let tile = tier.tile(ablock, bpanel);
                 for (r, row) in tile.iter().enumerate().take(m - i0) {
                     let o = (i0 + r) * n + j0;
                     out[o..o + cols].copy_from_slice(&row[..cols]);
@@ -927,20 +1183,31 @@ mod tests {
             let b = rand_matrix(k, n, (k + n + 7) as u64);
             assert!(worth_parallel(m, k, n) || m * k * n < PAR_MIN_WORK);
 
+            let tier = F32Tier::detect();
             let mut serial = vec![0.0f32; m * n];
-            matmul_panel(a.data(), b.data(), &mut serial, m, k, n);
+            let av = AView {
+                data: a.data(),
+                rs: k,
+                ps: 1,
+            };
+            gemm_panel(tier, av, (0, m), b.data(), &mut serial, k, n);
             let par = matmul(&a, &b);
             assert_eq!(par.data(), &serial[..], "matmul {m}x{k}x{n}");
 
             let at = transpose(&a);
             let mut serial = vec![0.0f32; m * n];
-            matmul_at_b_panel(at.data(), b.data(), &mut serial, 0, m, m, k, n);
+            let av = AView {
+                data: at.data(),
+                rs: 1,
+                ps: m,
+            };
+            gemm_panel(tier, av, (0, m), b.data(), &mut serial, k, n);
             let par = matmul_at_b(&at, &b);
             assert_eq!(par.data(), &serial[..], "matmul_at_b {m}x{k}x{n}");
 
             let bt = transpose(&b);
             let mut serial = vec![0.0f32; m * n];
-            matmul_a_bt_panel(a.data(), bt.data(), &mut serial, m, k, n);
+            a_bt_panel(tier, a.data(), bt.data(), &mut serial, m, k, n);
             let par = matmul_a_bt(&a, &bt);
             assert_eq!(par.data(), &serial[..], "matmul_a_bt {m}x{k}x{n}");
         }
@@ -976,47 +1243,244 @@ mod tests {
             .collect()
     }
 
-    /// The dispatched accumulate step (SIMD when the `simd` feature is on)
-    /// is bitwise-identical to the scalar reference for arbitrary inputs.
+    /// Every f32 tier this host can run: the scalar reference first.
+    fn f32_tiers() -> Vec<F32Tier> {
+        #[allow(unused_mut)]
+        let mut tiers = vec![F32Tier::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            tiers.push(F32Tier::Sse2);
+            if std::arch::is_x86_feature_detected!("avx") {
+                tiers.push(F32Tier::Avx);
+            }
+        }
+        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+        tiers.push(F32Tier::Neon);
+        tiers
+    }
+
+    /// Every i8 tier this host can run: the scalar reference first.
+    fn i8_tiers() -> Vec<I8Tier> {
+        #[allow(unused_mut)]
+        let mut tiers = vec![I8Tier::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            tiers.push(I8Tier::Sse2);
+            if std::arch::is_x86_feature_detected!("avx2") {
+                tiers.push(I8Tier::Avx2);
+            }
+        }
+        tiers
+    }
+
+    /// The three GEMM forms of a layer's training step.
+    #[derive(Clone, Copy, Debug)]
+    enum Form {
+        /// `A × B`: backward data.
+        AB,
+        /// `Aᵀ × B`: weight gradients.
+        AtB,
+        /// `A × Bᵀ`: forward.
+        ABt,
+    }
+
+    /// The GEMMs of one VGG-11 training step (width 0.22, 8×8 input) at
+    /// `batch`, as `(form, m, k, n)`: per conv layer the forward, weight-
+    /// gradient and data-gradient products of its im2col lowering, then the
+    /// classifier's.
+    fn vgg11_gemms(batch: usize) -> Vec<(Form, usize, usize, usize)> {
+        let ch = |base: usize| ((base as f32 * 0.22).round() as usize).max(2);
+        let plan = [(64, true), (128, true), (256, false), (256, true)];
+        let plan = plan
+            .into_iter()
+            .chain([(512, false), (512, true), (512, false), (512, true)]);
+        let (mut cin, mut size, mut gemms) = (3, 8, Vec::new());
+        for (base, pool) in plan {
+            let (cout, rows) = (ch(base), batch * size * size);
+            gemms.push((Form::ABt, rows, 9 * cin, cout));
+            gemms.push((Form::AtB, cout, rows, 9 * cin));
+            gemms.push((Form::AB, rows, cout, 9 * cin));
+            if pool && size >= 2 {
+                size /= 2;
+            }
+            cin = cout;
+        }
+        gemms.push((Form::AB, batch, cin, 10));
+        gemms.push((Form::AtB, cin, batch, 10));
+        gemms.push((Form::ABt, batch, 10, cin));
+        gemms
+    }
+
+    /// Shapes that cross every tile edge: each column tail `n mod NR` from
+    /// 1 to 15 (alone and after a full block), each row tail `m mod MR`
+    /// from 1 to 3, and empty `k`, `m` and `n`.
+    fn edge_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for t in 1..NR {
+            shapes.push((7, 9, t));
+            shapes.push((9, 5, NR + t));
+            shapes.push((NR + t, 6, 3));
+        }
+        for r in 1..MR {
+            shapes.push((MR + r, 11, 2 * NR + 1));
+            shapes.push((r, 3, NR));
+        }
+        shapes.extend([(5, 0, 17), (20, 0, 3), (0, 5, 17), (0, 0, 0), (6, 4, 0)]);
+        shapes
+    }
+
+    /// Runs one product in `form` on `tier`, returning the `(m, n)`
+    /// row-major output.
+    fn run_f32(
+        tier: F32Tier,
+        form: Form,
+        a: &[f32],
+        b: &[f32],
+        mkn: (usize, usize, usize),
+    ) -> Vec<f32> {
+        let (m, k, n) = mkn;
+        let mut out = vec![f32::NAN; m * n];
+        match form {
+            Form::AB => gemm(
+                tier,
+                AView {
+                    data: a,
+                    rs: k,
+                    ps: 1,
+                },
+                b,
+                &mut out,
+                m,
+                k,
+                n,
+            ),
+            Form::AtB => gemm(
+                tier,
+                AView {
+                    data: a,
+                    rs: 1,
+                    ps: m,
+                },
+                b,
+                &mut out,
+                m,
+                k,
+                n,
+            ),
+            Form::ABt => a_bt(tier, a, b, &mut out, m, k, n),
+        }
+        out
+    }
+
+    fn bits(v: Vec<f32>) -> Vec<u32> {
+        v.into_iter().map(f32::to_bits).collect()
+    }
+
+    /// The naive triple loop for `form`: ascending `p`, multiply then add.
+    fn naive(form: Form, a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    let (av, bv) = match form {
+                        Form::AB => (a[i * k + p], b[p * n + j]),
+                        Form::AtB => (a[p * m + i], b[p * n + j]),
+                        Form::ABt => (a[i * k + p], b[j * k + p]),
+                    };
+                    acc += av * bv;
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// Every f32 tier equals the naive triple loop bit for bit, in all three
+    /// forms, on every VGG-11 training GEMM at batch 4 and 16 and on every
+    /// tile edge.
     #[test]
-    fn axpy_step_matches_scalar_bitwise() {
-        for seed in 0..32u64 {
-            let a = rand_matrix(1, NR, seed);
-            let base = rand_matrix(1, NR, seed ^ 0xFFFF);
-            let av = a.data()[0] * 1.7 - 0.3;
-            let mut acc = [0.0f32; NR];
-            let mut acc_ref = [0.0f32; NR];
-            acc.copy_from_slice(base.data());
-            acc_ref.copy_from_slice(base.data());
-            axpy_nr(&mut acc, av, a.data());
-            axpy_nr_scalar(&mut acc_ref, av, a.data());
-            assert_eq!(
-                acc.map(f32::to_bits),
-                acc_ref.map(f32::to_bits),
-                "seed {seed}"
-            );
+    fn f32_tiers_match_naive_bitwise() {
+        let mut cases: Vec<(Form, usize, usize, usize)> =
+            [4, 16].into_iter().flat_map(vgg11_gemms).collect();
+        for (m, k, n) in edge_shapes() {
+            cases.extend([
+                (Form::AB, m, k, n),
+                (Form::AtB, m, k, n),
+                (Form::ABt, m, k, n),
+            ]);
+        }
+        for (case, &(form, m, k, n)) in cases.iter().enumerate() {
+            let a = rand_matrix(m, k, case as u64 * 2 + 1);
+            let b = rand_matrix(k, n, case as u64 * 2 + 2);
+            let expect = bits(naive(form, a.data(), b.data(), (m, k, n)));
+            for tier in f32_tiers() {
+                let got = bits(run_f32(tier, form, a.data(), b.data(), (m, k, n)));
+                assert!(got == expect, "{tier:?} {form:?} {m}x{k}x{n}");
+            }
         }
     }
 
-    /// The SSE2 integer tile equals the scalar reference exactly on packed
-    /// blocks over the full i8 range, at step counts from 1 to 40.
-    #[cfg(target_arch = "x86_64")]
+    /// Every integer tier equals the scalar tile exactly on packed blocks
+    /// over the full i8 range, at step counts from 1 to 40, and at the
+    /// extreme products.
     #[test]
-    fn i8_tile_sse2_matches_scalar_exactly() {
+    fn i8_tiers_match_scalar_tile_exactly() {
         for k in 1..80usize {
             let a = rand_i8(MR_I8 * k, k as u64 + 1);
             let b = rand_i8(NR_I8 * k, k as u64 * 31 + 7);
             let (mut ap, mut bp) = (Vec::new(), Vec::new());
             pack_i8_pairs(&a, MR_I8, k, MR_I8, &mut ap);
             pack_i8_pairs(&b, NR_I8, k, NR_I8, &mut bp);
-            assert_eq!(i8_tile_sse2(&ap, &bp), i8_tile_scalar(&ap, &bp), "k {k}");
+            let expect = i8_tile_scalar(&ap, &bp);
+            for tier in i8_tiers() {
+                assert_eq!(tier.tile(&ap, &bp), expect, "{tier:?} k {k}");
+            }
         }
         // the extreme products: every lane at -128 × -128
         let (mut ap, mut bp) = (Vec::new(), Vec::new());
         pack_i8_pairs(&[-128; MR_I8 * 64], MR_I8, 64, MR_I8, &mut ap);
         pack_i8_pairs(&[-128; NR_I8 * 64], NR_I8, 64, NR_I8, &mut bp);
-        assert_eq!(i8_tile_sse2(&ap, &bp), [[64 * 128 * 128; NR_I8]; MR_I8]);
-        assert_eq!(i8_tile_scalar(&ap, &bp), [[64 * 128 * 128; NR_I8]; MR_I8]);
+        for tier in i8_tiers() {
+            assert_eq!(
+                tier.tile(&ap, &bp),
+                [[64 * 128 * 128; NR_I8]; MR_I8],
+                "{tier:?}"
+            );
+        }
+    }
+
+    /// Every integer tier, through the full packed GEMM, equals a widened
+    /// i32 triple loop exactly on the INT8 arm's VGG-11 forward GEMMs at
+    /// batch 4 and 16 and on every tile edge.
+    #[test]
+    fn i8_tiers_match_widened_reference_on_layer_shapes() {
+        let mut shapes: Vec<(usize, usize, usize)> = [4, 16]
+            .into_iter()
+            .flat_map(vgg11_gemms)
+            .filter(|g| matches!(g.0, Form::ABt))
+            .map(|(_, m, k, n)| (m, k, n))
+            .collect();
+        shapes.extend(edge_shapes().into_iter().filter(|s| s.1 > 0));
+        for (case, &(m, k, n)) in shapes.iter().enumerate() {
+            let a = rand_i8(m * k, case as u64 * 2 + 1);
+            let b = rand_i8(n * k, case as u64 * 2 + 2);
+            let mut expect = vec![0i32; m * n];
+            for i in 0..m {
+                for j in 0..n {
+                    expect[i * n + j] = (0..k)
+                        .map(|p| a[i * k + p] as i32 * b[j * k + p] as i32)
+                        .sum();
+                }
+            }
+            let mut bpack = Vec::new();
+            pack_i8_pairs(&b, n, k, NR_I8, &mut bpack);
+            for tier in i8_tiers() {
+                let mut out = vec![i32::MIN; m * n];
+                matmul_i8_panel(tier, &a, &bpack, &mut out, m, k, n);
+                assert_eq!(out, expect, "{tier:?} {m}x{k}x{n}");
+            }
+        }
     }
 
     /// The i8 GEMM equals a naive widened-i32 triple loop exactly on
@@ -1074,7 +1538,7 @@ mod tests {
             let mut bpack = Vec::new();
             pack_i8_pairs(&b, n, k, NR_I8, &mut bpack);
             let mut serial = vec![0i32; m * n];
-            matmul_i8_panel(&a, &bpack, &mut serial, m, k, n);
+            matmul_i8_panel(I8Tier::detect(), &a, &bpack, &mut serial, m, k, n);
             let mut par = vec![0i32; m * n];
             matmul_i8_a_bt_slices(&a, &b, &mut par, m, k, n);
             assert_eq!(par, serial, "matmul_i8 {m}x{k}x{n}");

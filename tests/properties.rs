@@ -196,12 +196,14 @@ proptest! {
     /// naive triple loop on arbitrary (awkward, tail-heavy) shapes: per
     /// output element both accumulate strictly sequentially over the shared
     /// dimension, so identical rounding applies. Training numerics are
-    /// therefore unchanged by the tiling.
+    /// therefore unchanged by the tiling. Dimensions up to 70 span several
+    /// 16-column blocks and put `A × Bᵀ` on both of its packing branches
+    /// (`m < n` packs A, otherwise B).
     #[test]
     fn tiled_gemm_matches_naive_bitwise(
-        m in 1usize..40,
-        k in 1usize..40,
-        n in 1usize..40,
+        m in 1usize..71,
+        k in 1usize..71,
+        n in 1usize..71,
         seed in 0u64..1000,
     ) {
         use socflow_tensor::linalg;
